@@ -92,8 +92,6 @@ func run(args []string) error {
 	checkpointEvery := fs.Uint64("checkpoint-every", store.DefaultCheckpointEvery, "versions between graph checkpoints (0 = only the boot checkpoint)")
 	segmentBytes := fs.Int64("wal-segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation bound in bytes (smaller segments let checkpoints trim history sooner)")
 	logRetention := fs.Int("log-retention", store.DefaultLogCap, "in-memory replication feed retention in records (a durable store falls back to the WAL past it)")
-	shards := fs.Int("shards", 1, "horizontal shard count: >1 partitions the store by edge-source row across independent per-shard MVCC stores and WALs, with scatter-gather block-SpGEMM evaluation; 1 serves the monolithic store")
-	shardFn := fs.String("shard-fn", sparse.PartitionHash, "row-partition function for -shards >1: hash (growth-stable splitmix64) or range (contiguous id chunks, fixed at creation)")
 	follow := fs.String("follow", "", "leader base URL (e.g. http://leader:8080); run as a read replica of it")
 	pollInterval := fs.Duration("poll-interval", replica.DefaultPollInterval, "follower: feed poll cadence while caught up")
 	maxLag := fs.Uint64("max-lag", 0, "follower: /healthz turns 503 while replication lag exceeds this many versions (0 = unbounded)")
@@ -114,15 +112,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Shard flags are validated up front, whatever the mode: a typo'd
-	// partition function must die with a clear message, not fall through
-	// to a stack of store-layer errors.
-	if *shards < 1 {
-		return fmt.Errorf("invalid -shards %d (want a positive shard count)", *shards)
-	}
-	if *shardFn != sparse.PartitionHash && *shardFn != sparse.PartitionRange {
-		return fmt.Errorf("invalid -shard-fn %q (want %q or %q)", *shardFn, sparse.PartitionHash, sparse.PartitionRange)
-	}
 
 	adm := admissionOptions(*maxInflight, *queueDepth, *rate, *burst, *maxCost, *maxBodyBytes, *maxTimeout)
 
@@ -136,7 +125,6 @@ func run(args []string) error {
 			checkpointEvery: *checkpointEvery, segmentBytes: *segmentBytes, logRetention: *logRetention,
 			pollInterval: *pollInterval, maxLag: *maxLag, maxLagAge: *maxLagAge,
 			dataset: *dataset, in: *in,
-			shards: *shards, shardFn: *shardFn,
 			slowQuery: *slowQuery, pprof: *pprofOn, accessJSON: accessJSON,
 			admission: adm,
 		})
@@ -146,29 +134,22 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var st store.API
+	var st *store.Store
 	if *dataDir != "" {
 		policy, err := wal.ParseSyncPolicy(*fsync)
 		if err != nil {
 			return err
 		}
-		openOpts := []store.OpenOption{
+		// Recovery happens here, before the listener exists: no request
+		// can observe a half-replayed store.
+		st, err = store.Open(*dataDir,
 			store.WithSeed(g),
 			store.WithSync(policy),
 			store.WithSyncInterval(*fsyncInterval),
 			store.WithCheckpointEvery(*checkpointEvery),
 			store.WithSegmentBytes(*segmentBytes),
 			store.WithLogRetention(*logRetention),
-		}
-		// Recovery happens here, before the listener exists: no request
-		// can observe a half-replayed store. A sharded directory recovers
-		// every shard independently and heals laggards forward from the
-		// furthest-ahead shard's full WAL stream before publishing.
-		if *shards > 1 {
-			st, err = store.OpenSharded(*dataDir, *shards, *shardFn, openOpts...)
-		} else {
-			st, err = store.Open(*dataDir, openOpts...)
-		}
+		)
 		if err != nil {
 			return err
 		}
@@ -176,17 +157,9 @@ func run(args []string) error {
 		log.Printf("durable store %s: recovered version %d (checkpoint %d + %d replayed records, %d torn records truncated), fsync %s, checkpoint every %d",
 			*dataDir, ds.Recovery.RecoveredVersion, ds.Recovery.CheckpointVersion,
 			ds.Recovery.ReplayedRecords, ds.WAL.TornTruncated, ds.SyncPolicy, ds.CheckpointEvery)
-	} else if *shards > 1 {
-		ss, err := store.NewSharded(g, *shards, *shardFn)
-		if err != nil {
-			return err
-		}
-		ss.SetLogRetention(*logRetention)
-		st = ss
 	} else {
-		ms := store.New(g)
-		ms.SetLogRetention(*logRetention)
-		st = ms
+		st = store.New(g)
+		st.SetLogRetention(*logRetention)
 	}
 	defer st.Close()
 	srvOpts := []server.Option{
@@ -205,8 +178,8 @@ func run(args []string) error {
 	srv := server.New(st, sc, append(srvOpts, adm...)...)
 
 	stats := st.Stats()
-	log.Printf("serving %d nodes, %d edges, labels %v on %s (MVCC snapshot isolation, shards %d/%s, timeout %v, workload planning %v, durable %v, slow-query %v, pprof %v, max-inflight %d, rate %g, max-cost %d)",
-		stats.Nodes, stats.Edges, stats.Labels, *addr, *shards, *shardFn, *timeout, *workloadPlan, st.Durable(), *slowQuery, *pprofOn, *maxInflight, *rate, *maxCost)
+	log.Printf("serving %d nodes, %d edges, labels %v on %s (MVCC snapshot isolation, timeout %v, workload planning %v, durable %v, slow-query %v, pprof %v, max-inflight %d, rate %g, max-cost %d)",
+		stats.Nodes, stats.Edges, stats.Labels, *addr, *timeout, *workloadPlan, st.Durable(), *slowQuery, *pprofOn, *maxInflight, *rate, *maxCost)
 
 	return serve(srv, st, *addr, *drain, nil, nil)
 }
@@ -219,7 +192,7 @@ func run(args []string) error {
 // fresh signal channel; follower mode passes its own, registered
 // before the bootstrap began, so no delivery window ever reverts to
 // the default die-without-drain disposition.
-func serve(srv *server.Server, st store.API, addr string, drain time.Duration, stopTailer func(), sigc <-chan os.Signal) error {
+func serve(srv *server.Server, st *store.Store, addr string, drain time.Duration, stopTailer func(), sigc <-chan os.Signal) error {
 	hs := &http.Server{Addr: addr, Handler: srv}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
@@ -277,8 +250,6 @@ type followerConfig struct {
 	maxLag                   uint64
 	maxLagAge                time.Duration
 	dataset, in              string
-	shards                   int
-	shardFn                  string
 	slowQuery                time.Duration
 	pprof                    bool
 	accessJSON               bool
@@ -324,56 +295,33 @@ func runFollower(cfg followerConfig) error {
 	if err != nil {
 		return err
 	}
-	// Startup shard-count check: a follower must partition edge
-	// ownership exactly like its leader, or the leader's checkpoints
-	// and the follower's materialized shards describe different stores.
-	// An unreachable leader is not an error here — a follower may boot
-	// first and Start retries the bootstrap — the check just cannot run.
-	if n, err := leaderShards(leaderURL); err != nil {
-		log.Printf("leader shard check skipped (leader unreachable): %v", err)
-	} else if n != cfg.shards {
-		return fmt.Errorf("-shards %d disagrees with leader %s serving %d shard(s); a follower must use the leader's shard configuration", cfg.shards, leaderURL, n)
-	}
 	var sc *schema.Schema
 	if cfg.schemaName != "" {
 		if sc = datasets.SchemaByName(cfg.schemaName); sc == nil {
 			return fmt.Errorf("unknown schema %q (have dblp|wsu|biomed)", cfg.schemaName)
 		}
 	}
-	var st store.API
+	var st *store.Store
 	if cfg.dataDir != "" {
 		policy, err := wal.ParseSyncPolicy(cfg.fsync)
 		if err != nil {
 			return err
 		}
-		openOpts := []store.OpenOption{
+		st, err = store.Open(cfg.dataDir,
 			store.WithSync(policy),
 			store.WithSyncInterval(cfg.fsyncInterval),
 			store.WithCheckpointEvery(cfg.checkpointEvery),
 			store.WithSegmentBytes(cfg.segmentBytes),
 			store.WithLogRetention(cfg.logRetention),
-		}
-		if cfg.shards > 1 {
-			st, err = store.OpenSharded(cfg.dataDir, cfg.shards, cfg.shardFn, openOpts...)
-		} else {
-			st, err = store.Open(cfg.dataDir, openOpts...)
-		}
+		)
 		if err != nil {
 			return err
 		}
 		ds := st.DurabilityStats()
 		log.Printf("durable replica store %s: recovered version %d", cfg.dataDir, ds.Recovery.RecoveredVersion)
-	} else if cfg.shards > 1 {
-		ss, err := store.NewSharded(nil, cfg.shards, cfg.shardFn)
-		if err != nil {
-			return err
-		}
-		ss.SetLogRetention(cfg.logRetention)
-		st = ss
 	} else {
-		ms := store.New(nil)
-		ms.SetLogRetention(cfg.logRetention)
-		st = ms
+		st = store.New(nil)
+		st.SetLogRetention(cfg.logRetention)
 	}
 	defer st.Close()
 
@@ -445,29 +393,6 @@ func runFollower(cfg followerConfig) error {
 		stopTail()
 		<-tailDone
 	}, relay)
-}
-
-// leaderShards asks the leader's /healthz how many shards it serves.
-// The shards field is absent (0) on a monolithic leader, which reads
-// as 1; any status with a decodable body answers the question — a 503
-// still-syncing chained leader knows its shard count fine.
-func leaderShards(leaderURL string) (int, error) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(leaderURL + "/healthz")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var h struct {
-		Shards int `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return 0, fmt.Errorf("decode leader healthz: %w", err)
-	}
-	if h.Shards == 0 {
-		h.Shards = 1
-	}
-	return h.Shards, nil
 }
 
 // flushStats logs the final /stats snapshot so post-mortems see the

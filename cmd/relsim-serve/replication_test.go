@@ -193,12 +193,12 @@ func TestReplicationEndToEnd(t *testing.T) {
 		"relsim_wal_appended_bytes_total", // follower is durable: applied updates hit its own WAL
 	)
 	<-scrapeStorm
-	waitConverged(t, leaderAddr, followerAddr)
+	parked := waitConverged(t, leaderAddr, followerAddr)
 
 	// Induced log gap: park the follower (SIGSTOP — the process is
 	// alive, just not polling), push the leader far past the in-memory
 	// retention and wait for checkpoint trimming to hard-gap the
-	// follower's resume point, then SIGCONT. The tailer must observe
+	// follower's resume point (the version it parked at), then SIGCONT. The tailer must observe
 	// gap=true and re-bootstrap automatically.
 	if err := follower.Process.Signal(syscall.SIGSTOP); err != nil {
 		t.Fatal(err)
@@ -209,14 +209,14 @@ func TestReplicationEndToEnd(t *testing.T) {
 		var feed struct {
 			Gap bool `json:"gap"`
 		}
-		if err := json.Unmarshal(httpJSON(t, "GET", leaderBase+fmt.Sprintf("/log?since=%d", v1), nil), &feed); err != nil {
+		if err := json.Unmarshal(httpJSON(t, "GET", leaderBase+fmt.Sprintf("/log?since=%d", parked), nil), &feed); err != nil {
 			t.Fatal(err)
 		}
 		if feed.Gap {
 			break
 		}
 		if time.Now().After(gapDeadline) {
-			t.Fatalf("leader never hard-gapped version %d", v1)
+			t.Fatalf("leader never hard-gapped version %d", parked)
 		}
 		// Another commit re-triggers the background checkpoint cadence.
 		storm(t, leaderBase, 1000+int(time.Now().UnixNano()%100000), 1)

@@ -25,12 +25,9 @@ import (
 //     annotation values keep growing with each squaring, so value
 //     convergence would never terminate.
 
-// Ring tags for annotated cache keys and request parameters. The
-// integer ring's tag is the empty string (see Key).
-const (
-	RingWitness = "witness"
-	RingCount   = "count"
-)
+// RingWitness tags witness-annotated cache keys and request
+// parameters. The integer ring's tag is the empty string (see Key).
+const RingWitness = "witness"
 
 // AnnotationCostFactor weights product-count estimates for annotated
 // evaluation: an annotated product runs the same Gustavson kernel over
@@ -66,21 +63,11 @@ func (a annotator[T, R]) mul(x, y *sparse.GMatrix[T]) *sparse.GMatrix[T] {
 	e.checkCanceled()
 	e.mu.Lock()
 	gate, hook := e.gate, e.mulHook
-	part, blockHook := e.partition, e.blockHook
 	e.mu.Unlock()
 	if hook != nil {
 		hook(nil, nil)
 	}
 	e.counters.Products.Add(1)
-	if !part.Trivial() {
-		// The scatter-gather path is ring-generic, so witness and counting
-		// annotations shard through the identical block merge as integers.
-		m, st := sparse.GMulBlocked(a.ring, x, y, part, gate)
-		if blockHook != nil {
-			blockHook(st)
-		}
-		return m
-	}
 	return sparse.GMulThresh(a.ring, x, y, gate)
 }
 
@@ -172,14 +159,6 @@ func annotated[T any, R sparse.Ring[T]](e *Evaluator, ring R, p *rre.Pattern) *s
 // (version, "witness", pattern).
 func (e *Evaluator) CommutingWitness(p *rre.Pattern) *sparse.GMatrix[sparse.Witness] {
 	return annotated[sparse.Witness](e, sparse.WitnessRing{}, p)
-}
-
-// CommutingCount returns the commuting matrix of p over the saturating
-// counting semiring: identical support to Commuting, counts clamped at
-// MaxInt64 instead of wrapping. Cached under (version, "count",
-// pattern).
-func (e *Evaluator) CommutingCount(p *rre.Pattern) *sparse.GMatrix[int64] {
-	return annotated[int64](e, sparse.CountRing{}, p)
 }
 
 // WitnessLookup returns the witness value at (u, v), if the entry is

@@ -17,7 +17,7 @@ import (
 //
 // Ring is the semiring tag: "" is the canonical integer ring (the
 // production ranking path), any other value names an annotation ring
-// ("witness", "count"). Tagged entries live in the same buckets and
+// ("witness"). Tagged entries live in the same buckets and
 // label index as integer ones — so Advance carries/evicts them by the
 // same touched-label rules — but only integer entries are eligible for
 // incremental delta maintenance (see Cache.Maintain).

@@ -65,11 +65,6 @@ type Evaluator struct {
 	canonical  bool
 	gate       sparse.Thresholds
 	mulHook    func(a, b *sparse.Matrix)
-	// partition, when non-trivial, routes every product (integer and
-	// annotated) through the scatter-gather block kernel; blockHook
-	// observes the per-product block accounting for shard telemetry.
-	partition sparse.Partition
-	blockHook func(sparse.BlockStats)
 }
 
 // Counters are one evaluator's private tallies: cache hits and misses
@@ -112,8 +107,6 @@ func (e *Evaluator) WithContext(ctx context.Context) *Evaluator {
 		canonical:  e.canonical,
 		gate:       e.gate,
 		mulHook:    e.mulHook,
-		partition:  e.partition,
-		blockHook:  e.blockHook,
 	}
 }
 
@@ -203,50 +196,17 @@ func (e *Evaluator) SetMulHook(fn func(a, b *sparse.Matrix)) {
 	e.mulHook = fn
 }
 
-// SetPartition routes the evaluator's products through the
-// scatter-gather block kernel over the given node-space partition (the
-// coordinator path of a sharded deployment). Results are byte-identical
-// to the monolithic kernel — blocks are row-disjoint and merged in
-// global row order — so cache keys stay partition-agnostic: a matrix
-// computed blocked is interchangeable with one computed whole. A
-// trivial (K=1) partition restores the monolithic path exactly.
-func (e *Evaluator) SetPartition(p sparse.Partition) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.partition = p
-}
-
-// SetBlockHook installs fn to observe the block accounting of every
-// partitioned product (block counts, cross-shard output entries). Only
-// fires when a non-trivial partition is set. fn must be safe for
-// concurrent use; nil removes the hook.
-func (e *Evaluator) SetBlockHook(fn func(sparse.BlockStats)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.blockHook = fn
-}
-
 // mul multiplies two matrices under the evaluator's parallel gate,
-// checking cancellation first. With a non-trivial partition the product
-// scatters across per-shard row blocks and gathers the identical
-// result.
+// checking cancellation first.
 func (e *Evaluator) mul(a, b *sparse.Matrix) *sparse.Matrix {
 	e.checkCanceled()
 	e.mu.Lock()
 	gate, hook := e.gate, e.mulHook
-	part, blockHook := e.partition, e.blockHook
 	e.mu.Unlock()
 	if hook != nil {
 		hook(a, b)
 	}
 	e.counters.Products.Add(1)
-	if !part.Trivial() {
-		m, st := a.MulBlocked(b, part, gate)
-		if blockHook != nil {
-			blockHook(st)
-		}
-		return m
-	}
 	return a.MulThresh(b, gate)
 }
 

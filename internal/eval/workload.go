@@ -227,26 +227,6 @@ func EstimateProducts(patterns []*rre.Pattern) int {
 	return PlanWorkload(patterns).EstimatedProducts()
 }
 
-// ShardCost prices a product estimate for a K-shard deployment: every
-// product additionally pays the scatter-gather merge of its K−1
-// non-local blocks, amortized as base·(K−1)/K extra products. K ≤ 1
-// returns base unchanged — bit-for-bit, so the K=1 differential harness
-// sees identical admission decisions — and the surcharge grows toward
-// one extra product per product as K → ∞, keeping a sharded query from
-// sneaking under a ceiling its monolithic twin would trip.
-func ShardCost(base, k int) int {
-	if k <= 1 {
-		return base
-	}
-	return base + base*(k-1)/k
-}
-
-// EstimateProductsSharded is EstimateProducts priced for a K-shard
-// deployment (see ShardCost).
-func EstimateProductsSharded(patterns []*rre.Pattern, k int) int {
-	return ShardCost(EstimateProducts(patterns), k)
-}
-
 // Execute materializes the schedule into ev's cache across a pool of
 // workers. Each DAG node is dispatched once, after all of its children
 // complete, so every distinct subexpression is computed exactly once

@@ -97,7 +97,7 @@ type Status struct {
 // off with Start, keep running with Run. Status is safe to call from
 // any goroutine (the server's /stats and /healthz do).
 type Follower struct {
-	st     store.API
+	st     *store.Store
 	leader string
 	opt    Options
 	client *http.Client
@@ -148,13 +148,8 @@ func throttleHint(resp *http.Response, surface string) *throttledError {
 }
 
 // New builds a follower of the leader at base URL leaderURL (scheme +
-// host, e.g. "http://10.0.0.1:8080") applying into st. A sharded st
-// replicates a sharded leader: the feed carries the full logical
-// update stream either way, and the sharded store materializes each
-// shard's owned subset as it applies — but the shard counts must
-// agree (see server.HealthzResponse.Shards), or the follower's edge
-// ownership diverges from the leader's checkpoints.
-func New(st store.API, leaderURL string, opt Options) *Follower {
+// host, e.g. "http://10.0.0.1:8080") applying into st.
+func New(st *store.Store, leaderURL string, opt Options) *Follower {
 	if opt.PollInterval <= 0 {
 		opt.PollInterval = DefaultPollInterval
 	}
@@ -221,7 +216,7 @@ func (f *Follower) Instrument(reg *telemetry.Registry) {
 }
 
 // Store returns the store the follower applies into.
-func (f *Follower) Store() store.API { return f.st }
+func (f *Follower) Store() *store.Store { return f.st }
 
 // Status returns a point-in-time replication summary.
 func (f *Follower) Status() Status {

@@ -257,7 +257,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			if req.Annotate != "" {
 				cost = eval.EstimateProductsAnnotated(ps)
 			}
-			if !s.checkCost(w, s.shardCost(cost)) {
+			if !s.checkCost(w, cost) {
 				return
 			}
 		}
@@ -267,7 +267,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// against this frozen version, writers proceed unblocked.
 	pin := s.st.Pin()
 	defer pin.Release()
-	ev := s.evaluator(pin.View(), pin.Version()).WithContext(ctx)
+	ev := s.evaluator(pin.Snapshot(), pin.Version()).WithContext(ctx)
 
 	tr := traceFrom(r.Context())
 	tr.SetQuery(req.Pattern, req.Query, req.Alg)
@@ -402,18 +402,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		endPlan := tr.Phase("plan")
 		plan = eval.PlanWorkload(pats)
 		endPlan()
-		if !s.checkCost(w, s.shardCost(plan.EstimatedProducts()+surcharge)) {
+		if !s.checkCost(w, plan.EstimatedProducts()+surcharge) {
 			return
 		}
 	} else if s.adm.MaxCost() > 0 {
-		if !s.checkCost(w, s.shardCost(eval.EstimateProducts(pats)+surcharge)) {
+		if !s.checkCost(w, eval.EstimateProducts(pats)+surcharge) {
 			return
 		}
 	}
 
 	pin := s.st.Pin()
 	defer pin.Release()
-	ev := s.evaluator(pin.View(), pin.Version()).WithContext(ctx)
+	ev := s.evaluator(pin.Snapshot(), pin.Version()).WithContext(ctx)
 	tr.SetVersion(pin.Version())
 
 	resp := BatchResponse{Version: pin.Version(), Results: make([]BatchResult, len(req.Queries))}
@@ -652,7 +652,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		if req.Annotate != "" {
 			cost = eval.EstimateProductsAnnotated([]*rre.Pattern{p})
 		}
-		if !s.checkCost(w, s.shardCost(cost)) {
+		if !s.checkCost(w, cost) {
 			return
 		}
 	}
@@ -672,7 +672,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 	pin := s.st.Pin()
 	defer pin.Release()
-	snap := pin.View()
+	snap := pin.Snapshot()
 	ev := s.evaluator(snap, pin.Version()).WithContext(ctx)
 
 	u, ok := resolveNode(snap, req.From)

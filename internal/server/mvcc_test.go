@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -8,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"relsim/internal/datasets"
 	"relsim/internal/store"
 )
 
@@ -250,6 +253,97 @@ func TestStatsPinsAndCacheVersions(t *testing.T) {
 	}
 	if stats.Cache.Versions == 0 {
 		t.Errorf("cache stats = %+v", stats.Cache)
+	}
+}
+
+// stormPattern composes a small RRE string over the dblp-small schema,
+// mixing plain steps, reversals and a disjunction block.
+func stormPattern(rng *rand.Rand) string {
+	steps := []string{"w", "w-", "p-in", "p-in-", "r-a", "r-a-"}
+	pick := func() string { return steps[rng.Intn(len(steps))] }
+	switch rng.Intn(3) {
+	case 0:
+		return pick() + "." + pick()
+	case 1:
+		return "(" + pick() + " + " + pick() + ")." + pick()
+	default:
+		return pick() + "." + pick() + "." + pick()
+	}
+}
+
+// TestMutateQueryStorm drives one server with concurrent node-adding
+// writers, witness-annotated /search readers and /stats polls; run
+// under -race it is the storm over the commit path, cache aging, delta
+// maintenance and the annotated read path at once.
+func TestMutateQueryStorm(t *testing.T) {
+	ds, err := datasets.ByName("dblp-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.New(ds.Graph)
+	srv := New(st, ds.Schema, WithInstrumentation(true))
+
+	const writers, readers, iters = 3, 5, 25
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(1000 + w)))
+			for i := 0; i < iters; i++ {
+				name := fmt.Sprintf("storm-%d-%d", w, i)
+				req := MutationRequest{
+					AddNodes: []NodeSpec{{Name: name, Type: "author"}},
+					Add: []EdgeSpec{
+						{From: name, Label: "w", To: fmt.Sprintf("paper%d", rng.Intn(100))},
+					},
+				}
+				code, body := doJSON(t, srv, "/graph/edges", req)
+				if code != http.StatusOK {
+					t.Errorf("writer %d iter %d: %d %s", w, i, code, body)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(2000 + r)))
+			for i := 0; i < iters; i++ {
+				req := SearchRequest{
+					Pattern: stormPattern(rng),
+					Query:   fmt.Sprintf("proc%d", rng.Intn(80)),
+					Type:    "proc",
+					Alg:     "relsim",
+					Top:     3,
+				}
+				if i%4 == 0 {
+					req.Annotate = AnnotateWitness
+				}
+				code, body := doJSON(t, srv, "/search", req)
+				if code != http.StatusOK {
+					t.Errorf("reader %d iter %d: %d %s", r, i, code, body)
+					return
+				}
+				if i%5 == 0 {
+					gr := httptest.NewRequest(http.MethodGet, "/stats", nil)
+					gw := httptest.NewRecorder()
+					srv.ServeHTTP(gw, gr)
+					if gw.Code != http.StatusOK {
+						t.Errorf("reader %d: /stats %d", r, gw.Code)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+
+	// Each mutation batch carries two updates (node + edge).
+	if got := st.Version(); got != uint64(2*writers*iters) {
+		t.Fatalf("version %d after storm, want %d (two updates per mutation)", got, 2*writers*iters)
 	}
 }
 

@@ -89,26 +89,13 @@ const maxLogFeedPage = 10000
 // Server is the HTTP handler. Construct with New; the zero value is not
 // usable.
 type Server struct {
-	st      store.API
+	st      *store.Store
 	cache   *eval.Cache
 	schema  *schema.Schema
 	genOpt  pattern.Options
 	workers int
 	timeout time.Duration // default per-request deadline; 0 = none
 	gate    sparse.Thresholds
-
-	// Sharding (see store.ShardedStore): part is the store's row
-	// partition (the zero value on a monolithic store — every scatter-
-	// gather path short-circuits on it), shards its shard count (1 when
-	// monolithic). Every evaluator bound to this server inherits part,
-	// so /search, /batch and /explain — integer and annotated kernels
-	// alike — multiply through the block-SpGEMM path, and the block
-	// hook feeds the relsim_shard_block_* counters below.
-	part   sparse.Partition
-	shards int
-
-	nBlockProducts, nBlocksSkipped atomic.Uint64
-	nBlockLocal, nBlockCross       atomic.Int64
 
 	// Traffic hardening (see admission.go): admCfg collects the
 	// WithAdmission* options and New compiles it into adm (nil when
@@ -382,10 +369,10 @@ type expandEntry struct {
 // registers itself as the store's update observer so committed writes
 // age the versioned cache (carry untouched patterns forward, evict the
 // rest).
-func New(st store.API, sc *schema.Schema, opts ...Option) *Server {
+func New(st *store.Store, sc *schema.Schema, opts ...Option) *Server {
 	if sc == nil {
-		v, _ := st.View()
-		sc = schema.New(v.Labels())
+		snap, _ := st.Snapshot()
+		sc = schema.New(snap.Labels())
 	}
 	s := &Server{
 		st:          st,
@@ -411,11 +398,6 @@ func New(st store.API, sc *schema.Schema, opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	s.shards = 1
-	if sh, ok := st.(*store.ShardedStore); ok {
-		s.part = sh.Partition()
-		s.shards = sh.NumShards()
-	}
 	s.adm = admission.New(s.admCfg)
 	st.OnUpdate(s.ageCache)
 	s.mux.HandleFunc("POST /search", s.handleSearch)
@@ -434,9 +416,6 @@ func New(st store.API, sc *schema.Schema, opts ...Option) *Server {
 		s.instrumentEngine(s.reg)
 		s.instrumentSemiring(s.reg)
 		s.instrumentAdmission(s.reg)
-		if _, ok := st.(*store.ShardedStore); ok {
-			s.instrumentShards(s.reg)
-		}
 		st.Instrument(s.reg)
 		// A replication tailer that can describe itself (the concrete
 		// *replica.Follower does) joins the registry; test fakes that
@@ -482,17 +461,15 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 func (s *Server) Cache() *eval.Cache { return s.cache }
 
 // Store returns the server's store.
-func (s *Server) Store() store.API { return s.st }
+func (s *Server) Store() *store.Store { return s.st }
 
-// evaluator binds a view-scoped evaluator over the shared cache.
+// evaluator binds a snapshot-scoped evaluator over the shared cache.
 // Under workload planning every evaluator keys the cache canonically,
 // so /search and /explain hit the matrices /batch plans materialize
 // (and vice versa), and all evaluators feed the server's product
-// counter through the mul hook. On a sharded store the evaluator
-// additionally inherits the row partition, so every product runs the
-// scatter-gather block kernel and reports its block statistics.
-func (s *Server) evaluator(g graph.View, version uint64) *eval.Evaluator {
-	ev := eval.NewVersioned(g, version, s.cache)
+// counter through the mul hook.
+func (s *Server) evaluator(snap *graph.Snapshot, version uint64) *eval.Evaluator {
+	ev := eval.NewVersioned(snap, version, s.cache)
 	ev.SetParallelThresholds(s.gate)
 	ev.SetCanonicalKeys(s.plan)
 	// Annotated (non-integer) products fire the hook with nil operands —
@@ -503,23 +480,8 @@ func (s *Server) evaluator(g graph.View, version uint64) *eval.Evaluator {
 			s.nAnnotatedProducts.Add(1)
 		}
 	})
-	if !s.part.Trivial() {
-		ev.SetPartition(s.part)
-		ev.SetBlockHook(func(st sparse.BlockStats) {
-			s.nBlockProducts.Add(uint64(st.Blocks))
-			s.nBlocksSkipped.Add(uint64(st.SkippedEmpty))
-			s.nBlockLocal.Add(st.LocalNNZ)
-			s.nBlockCross.Add(st.CrossShardNNZ)
-		})
-	}
 	return ev
 }
-
-// shardCost prices a product estimate for this server's shard count
-// (eval.ShardCost): on a sharded deployment every product additionally
-// pays its cross-shard block merges, so admission sees sharded requests
-// at their true weight. K=1 returns the estimate bit-unchanged.
-func (s *Server) shardCost(cost int) int { return eval.ShardCost(cost, s.shards) }
 
 // ageCache translates a committed update batch into versioned-cache
 // maintenance. Correctness never requires invalidation under MVCC (all
@@ -541,10 +503,10 @@ func (s *Server) ageCache(updates []store.Update) {
 	nodesChanged := d.NodesAdded > 0
 	oldestPinned := s.st.OldestPinned()
 	if s.deltaMaintain && (len(ls) > 0 || nodesChanged) {
-		if view, ver := s.st.View(); ver == d.To {
+		if snap, ver := s.st.Snapshot(); ver == d.To {
 			start := time.Now()
-			n := view.NumNodes()
-			res := s.cache.Maintain(view, eval.CommitDelta{
+			n := snap.NumNodes()
+			res := s.cache.Maintain(snap, eval.CommitDelta{
 				From:   d.From,
 				To:     d.To,
 				OldN:   n - d.NodesAdded,
@@ -636,24 +598,14 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 // max-lag bound, so a load balancer stops routing reads to a replica
 // that has fallen too far behind.
 type HealthzResponse struct {
-	Status  string `json:"status"`
-	Role    string `json:"role"`
-	Version uint64 `json:"version"`
-	// Shards is the store's shard count; absent (0) on a monolithic
-	// store, which peers read as 1. A follower compares it against its
-	// own shard configuration at startup: replication ships the full
-	// logical update stream either way, but a disagreeing follower
-	// would partition ownership differently and its checkpoints would
-	// not be interchangeable.
-	Shards      int             `json:"shards,omitempty"`
+	Status      string          `json:"status"`
+	Role        string          `json:"role"`
+	Version     uint64          `json:"version"`
 	Replication *replica.Status `json:"replication,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := HealthzResponse{Status: "ok", Role: "leader", Version: s.st.Version()}
-	if _, ok := s.st.(*store.ShardedStore); ok {
-		resp.Shards = s.shards
-	}
 	status := http.StatusOK
 	if s.replica != nil {
 		rs := s.replica.Status()
@@ -726,29 +678,9 @@ type StatsResponse struct {
 	ExpandMemo    ExpandMemoStats       `json:"expand_memo"`
 	// Replication reports follower lag and sync counters; nil on a
 	// leader.
-	Replication *replica.Status `json:"replication,omitempty"`
-	// Sharding reports the partitioned store's per-shard occupancy and
-	// the scatter-gather block-kernel counters; nil on a monolithic
-	// store, so the unsharded /stats body is unchanged.
-	Sharding      *ShardingStats    `json:"sharding,omitempty"`
+	Replication   *replica.Status   `json:"replication,omitempty"`
 	Requests      map[string]uint64 `json:"requests"`
 	UptimeSeconds float64           `json:"uptime_seconds"`
-}
-
-// ShardingStats is the /stats view of a horizontally partitioned store:
-// the partition shape, the block-SpGEMM counters fed by every evaluator
-// bound to this server (row blocks multiplied, empty blocks skipped,
-// and the result entries split by column ownership — local to the
-// producing shard vs. crossing a shard boundary into the gather), and
-// one ShardStat row per shard.
-type ShardingStats struct {
-	Shards        int               `json:"shards"`
-	Fn            string            `json:"fn"`
-	BlockProducts uint64            `json:"block_products"`
-	BlocksSkipped uint64            `json:"blocks_skipped"`
-	LocalEntries  int64             `json:"local_entries"`
-	CrossEntries  int64             `json:"cross_entries"`
-	PerShard      []store.ShardStat `json:"per_shard"`
 }
 
 // Stats assembles the /stats body (also used by the CLI's shutdown
@@ -774,18 +706,6 @@ func (s *Server) Stats() StatsResponse {
 		rs := s.replica.Status()
 		repl = &rs
 	}
-	var sharding *ShardingStats
-	if sh, ok := s.st.(*store.ShardedStore); ok {
-		sharding = &ShardingStats{
-			Shards:        sh.NumShards(),
-			Fn:            sh.Partition().Fn(),
-			BlockProducts: s.nBlockProducts.Load(),
-			BlocksSkipped: s.nBlocksSkipped.Load(),
-			LocalEntries:  s.nBlockLocal.Load(),
-			CrossEntries:  s.nBlockCross.Load(),
-			PerShard:      sh.ShardStats(),
-		}
-	}
 	return StatsResponse{
 		Store:         s.st.Stats(),
 		Pins:          s.st.PinStats(),
@@ -805,7 +725,6 @@ func (s *Server) Stats() StatsResponse {
 		Durability:    dur,
 		ExpandMemo:    memo,
 		Replication:   repl,
-		Sharding:      sharding,
 		Requests:      s.requestCounts(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}

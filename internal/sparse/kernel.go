@@ -9,8 +9,8 @@ import (
 
 // Generic CSR kernel. Every matrix operator is written once here
 // against Ring[T]; Matrix (int64) and FloatMatrix (float64) are thin
-// defined types over GMatrix instantiations, and the annotated rings
-// (CountRing, WitnessRing) reuse the identical code paths. The kernels
+// defined types over GMatrix instantiations, and the annotated ring
+// (WitnessRing) reuses the identical code paths. The kernels
 // preserve the canonical-CSR invariant — rows in order, columns
 // ascending, no explicit ring zeros — so equal values always have equal
 // bytes, which is what the delta-maintenance and replication

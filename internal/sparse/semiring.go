@@ -43,8 +43,8 @@ type Ring[T any] interface {
 // Subtractive marks rings with an exact additive inverse, the
 // capability incremental delta maintenance needs: signed deltas and the
 // telescoping patch expansion only make sense when a − b is exact.
-// Rings without it (counting, witness) must be maintained by eviction
-// and recompute, never by patching.
+// Rings without it (witness) must be maintained by eviction and
+// recompute, never by patching.
 type Subtractive[T any] interface {
 	Ring[T]
 	Sub(a, b T) T
@@ -67,29 +67,11 @@ func (IntRing) Lift(v int64) int64                     { return v }
 func (IntRing) Sub(a, b int64) int64                   { return a - b }
 func (IntRing) Name() string                           { return "int" }
 
-// CountRing is the saturating counting semiring ℕ ∪ {∞} with ∞ encoded
-// as MaxInt64: addition and multiplication clamp instead of wrapping,
-// so huge instance counts degrade to a ceiling rather than going
-// negative. It has no subtraction (saturation destroys inverses), which
-// makes it the minimal test subject for the non-Subtractive
-// maintenance fallback.
-type CountRing struct{}
-
-func (CountRing) Zero() int64          { return 0 }
-func (CountRing) One() int64           { return 1 }
-func (CountRing) IsZero(a int64) bool  { return a == 0 }
-func (CountRing) Truthy(a int64) bool  { return a > 0 }
-func (CountRing) Collapse(int64) int64 { return 1 }
-func (CountRing) Name() string         { return "count" }
-
-func (CountRing) Lift(v int64) int64 {
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-func (CountRing) Add(a, b int64) int64 {
+// satAdd and satMul are saturating ℕ ∪ {∞} arithmetic with ∞ encoded
+// as MaxInt64: they clamp instead of wrapping, so huge instance counts
+// degrade to a ceiling rather than going negative. Operands are
+// non-negative.
+func satAdd(a, b int64) int64 {
 	c := a + b
 	if c < a { // both operands are non-negative, so wrap means overflow
 		return math.MaxInt64
@@ -97,7 +79,7 @@ func (CountRing) Add(a, b int64) int64 {
 	return c
 }
 
-func (CountRing) MulVia(a int64, _ int32, b int64) int64 {
+func satMul(a, b int64) int64 {
 	if a == 0 || b == 0 {
 		return 0
 	}
@@ -155,9 +137,9 @@ func shortlexLess(a, b Witness) bool {
 }
 
 // WitnessRing is the bounded witness-path semiring: counts add and
-// multiply as in CountRing, annotations combine by shortlex-min under ⊕
-// and by via-sequence concatenation (truncated to MaxWitnessSteps)
-// under ⊗. Zero values are normalized to the canonical Witness{} so
+// multiply with saturation (satAdd, satMul), annotations combine by
+// shortlex-min under ⊕ and by via-sequence concatenation (truncated to
+// MaxWitnessSteps) under ⊗. Zero values are normalized to the canonical Witness{} so
 // IsZero is a simple count test. It has no subtraction.
 type WitnessRing struct{}
 
@@ -189,7 +171,7 @@ func (WitnessRing) Add(a, b Witness) Witness {
 	if b.Count == 0 {
 		return a
 	}
-	count := CountRing{}.Add(a.Count, b.Count)
+	count := satAdd(a.Count, b.Count)
 	if shortlexLess(b, a) {
 		a = b
 	}
@@ -202,7 +184,7 @@ func (WitnessRing) MulVia(a Witness, k int32, b Witness) Witness {
 		return Witness{}
 	}
 	p := Witness{
-		Count: CountRing{}.MulVia(a.Count, 0, b.Count),
+		Count: satMul(a.Count, b.Count),
 		Total: a.Total + 1 + b.Total,
 	}
 	n := uint8(0)

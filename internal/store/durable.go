@@ -132,17 +132,6 @@ type openConfig struct {
 	walOpt          wal.Options
 	checkpointEvery uint64
 	logCap          int
-	// replayFilter, when set, is consulted per replayed update: false
-	// skips materializing the mutation into the graph while still
-	// advancing the version counter. This is how a shard replays the
-	// full logical WAL stream but keeps only the edges it owns.
-	replayFilter func(Update) bool
-}
-
-// withReplayFilter installs a replay materialization filter; package
-// internal, used by OpenSharded.
-func withReplayFilter(fn func(Update) bool) OpenOption {
-	return func(c *openConfig) { c.replayFilter = fn }
 }
 
 // OpenOption configures Open.
@@ -198,7 +187,15 @@ func WithLogRetention(n int) OpenOption {
 // is truncated, never an error. On a fresh directory the seed graph
 // (WithSeed, or empty) becomes version 0 and an initial checkpoint is
 // written so the directory is self-contained from then on.
+//
+// A directory holding sharding.json was written by the sharded store of
+// earlier releases: its WALs live in shard-NNNN sub-directories, so
+// opening it as a fresh store would re-seed over the data. Open refuses
+// it and writes nothing.
 func Open(dir string, opts ...OpenOption) (*Store, error) {
+	if _, err := os.Stat(filepath.Join(dir, "sharding.json")); err == nil {
+		return nil, fmt.Errorf("store: %s is a sharded data directory (sharding.json), which this release cannot open", dir)
+	}
 	cfg := openConfig{
 		walOpt:          wal.Options{Sync: wal.SyncAlways},
 		checkpointEvery: DefaultCheckpointEvery,
@@ -244,10 +241,8 @@ func Open(dir string, opts ...OpenOption) (*Store, error) {
 			if u.Version != version+1 {
 				return fmt.Errorf("store: wal record %d: version %d after %d (gap)", seq, u.Version, version)
 			}
-			if cfg.replayFilter == nil || cfg.replayFilter(u) {
-				if err := applyUpdate(b, u); err != nil {
-					return fmt.Errorf("store: wal record %d: %w", seq, err)
-				}
+			if err := applyUpdate(b, u); err != nil {
+				return fmt.Errorf("store: wal record %d: %w", seq, err)
 			}
 			version++
 		}

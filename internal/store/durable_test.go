@@ -88,6 +88,32 @@ func TestOpenFreshSeedsAndPersists(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesShardedDirectory guards data written by the sharded
+// store of earlier releases: its root holds only sharding.json and the
+// shard-NNNN sub-directories, so a plain Open would seed a fresh store
+// over it. Open must fail and leave no checkpoint or WAL behind.
+func TestOpenRefusesShardedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	manifest := []byte(`{"shards":4,"shard_fn":"hash"}` + "\n")
+	if err := os.WriteFile(filepath.Join(dir, "sharding.json"), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, WithSeed(seedGraph()))
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted a sharded data directory")
+	}
+	if !strings.Contains(err.Error(), "sharding.json") {
+		t.Fatalf("error %q does not name the manifest", err)
+	}
+	if cs, err := filepath.Glob(filepath.Join(dir, "checkpoint-*")); err != nil || len(cs) != 0 {
+		t.Fatalf("checkpoints written into a sharded directory: %v (%v)", cs, err)
+	}
+	if ws := walFiles(t, dir); len(ws) != 0 {
+		t.Fatalf("WAL written into a sharded directory: %v", ws)
+	}
+}
+
 func TestCrashRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, WithSeed(seedGraph()))

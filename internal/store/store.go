@@ -74,6 +74,11 @@ type versioned struct {
 	version uint64
 }
 
+// API names *Store for the benchmark module (relbench), which still
+// spells the store type this way; it exists only so that module
+// compiles, and the next change to the benchmark removes it.
+type API = *Store
+
 // Store is an MVCC graph store safe for concurrent use.
 type Store struct {
 	current atomic.Pointer[versioned]
@@ -143,13 +148,9 @@ func (s *Store) Snapshot() (*graph.Snapshot, uint64) {
 	return cur.snap, cur.version
 }
 
-// View returns the current immutable view and its version — the
-// implementation-agnostic read path shared with ShardedStore (for a
-// monolithic store the view is the *graph.Snapshot itself).
-func (s *Store) View() (graph.View, uint64) {
-	cur := s.current.Load()
-	return cur.snap, cur.version
-}
+// View is Snapshot with the snapshot typed as a graph.View; the
+// benchmark module (relbench) reads the store through it.
+func (s *Store) View() (graph.View, uint64) { return s.Snapshot() }
 
 // Version returns the current store version: the number of mutations
 // ever committed. It starts at 0 and bumps by one per mutation.
@@ -174,45 +175,24 @@ func (s *Store) Pin() *Pin {
 	cur := s.current.Load()
 	s.pins[cur.version]++
 	s.mu.Unlock()
-	return &Pin{owner: s, view: cur.snap, version: cur.version}
+	return &Pin{s: s, snap: cur.snap, version: cur.version}
 }
 
-// unpin deregisters one reader of version (Pin.Release).
-func (s *Store) unpin(version uint64) {
-	s.mu.Lock()
-	if n := s.pins[version]; n <= 1 {
-		delete(s.pins, version)
-	} else {
-		s.pins[version] = n - 1
-	}
-	s.mu.Unlock()
-}
-
-// pinOwner is the store side of a Pin: whatever registered the pin
-// takes it back on Release. Both Store and ShardedStore implement it.
-type pinOwner interface {
-	unpin(version uint64)
-}
-
-// Pin is a pinned view: one reader's consistent view of one version.
+// Pin is a pinned snapshot: one reader's consistent view of one
+// version.
 type Pin struct {
-	owner    pinOwner
-	view     graph.View
+	s        *Store
+	snap     *graph.Snapshot
 	version  uint64
 	released atomic.Bool
 }
 
-// View returns the pinned graph view.
-func (p *Pin) View() graph.View { return p.view }
+// Snapshot returns the pinned snapshot.
+func (p *Pin) Snapshot() *graph.Snapshot { return p.snap }
 
-// Snapshot returns the pinned monolithic snapshot, or nil when the pin
-// was taken on a sharded store (use View there).
-func (p *Pin) Snapshot() *graph.Snapshot {
-	if s, ok := p.view.(*graph.Snapshot); ok {
-		return s
-	}
-	return nil
-}
+// View returns the pinned snapshot typed as a graph.View; the
+// benchmark module (relbench) reads pins through it.
+func (p *Pin) View() graph.View { return p.snap }
 
 // Version returns the pinned version.
 func (p *Pin) Version() uint64 { return p.version }
@@ -222,7 +202,13 @@ func (p *Pin) Release() {
 	if p.released.Swap(true) {
 		return
 	}
-	p.owner.unpin(p.version)
+	p.s.mu.Lock()
+	if n := p.s.pins[p.version]; n <= 1 {
+		delete(p.s.pins, p.version)
+	} else {
+		p.s.pins[p.version] = n - 1
+	}
+	p.s.mu.Unlock()
 }
 
 // PinStats reports the live version and the currently pinned versions
@@ -399,27 +385,11 @@ func (s *Store) Stats() Stats {
 	return Stats{Version: v, Nodes: snap.NumNodes(), Edges: snap.NumEdges(), Labels: snap.Labels()}
 }
 
-// txBackend is the mutation target a Tx builds against: a plain
-// copy-on-write *graph.Builder for the monolithic store, a
-// shard-routing builder fan-out for ShardedStore. The Tx API and every
-// feed consumer written against it (followers, recovery) is oblivious
-// to which one is underneath.
-type txBackend interface {
-	Has(id graph.NodeID) bool
-	NodeByName(name string) (graph.Node, bool)
-	Base() *graph.Snapshot
-	AddNode(name, typ string) graph.NodeID
-	AddEdge(u graph.NodeID, label string, v graph.NodeID) error
-	RemoveEdge(u graph.NodeID, label string, v graph.NodeID) bool
-}
-
-var _ txBackend = (*graph.Builder)(nil)
-
 // Tx is a write transaction: a batch of mutations built copy-on-write
 // against the version current at transaction start, committed
 // atomically (all-or-nothing). Obtain one via Update.
 type Tx struct {
-	b       txBackend
+	b       *graph.Builder
 	base    uint64
 	updates []Update
 }
@@ -433,9 +403,7 @@ func (tx *Tx) Has(id graph.NodeID) bool { return tx.b.Has(id) }
 func (tx *Tx) NodeByName(name string) (graph.Node, bool) { return tx.b.NodeByName(name) }
 
 // Base returns the snapshot the transaction derives from — the
-// pre-transaction state, useful for validate-before-mutate checks. On a
-// sharded store this is shard 0's snapshot: the node table is complete
-// (every shard replicates it), but it holds only shard 0's edges.
+// pre-transaction state, useful for validate-before-mutate checks.
 func (tx *Tx) Base() *graph.Snapshot { return tx.b.Base() }
 
 // AddNode adds a node and returns its id.
@@ -517,15 +485,14 @@ func (s *Store) Update(fn func(tx *Tx) error) error {
 		return fmt.Errorf("store: %w", ErrClosed)
 	}
 	cur := s.current.Load()
-	b := graph.NewBuilder(cur.snap)
-	tx := &Tx{b: b, base: cur.version}
+	tx := &Tx{b: graph.NewBuilder(cur.snap), base: cur.version}
 	if err := fn(tx); err != nil {
 		return err
 	}
 	if len(tx.updates) == 0 {
 		return nil
 	}
-	next := &versioned{snap: b.Build(), version: cur.version + uint64(len(tx.updates))}
+	next := &versioned{snap: tx.b.Build(), version: cur.version + uint64(len(tx.updates))}
 	if s.dur != nil {
 		if err := s.dur.appendBatch(next.version, tx.updates); err != nil {
 			// Nothing published: the batch rolls back, and any torn bytes
