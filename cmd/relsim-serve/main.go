@@ -52,12 +52,10 @@ import (
 	"time"
 
 	"relsim/internal/datasets"
-	"relsim/internal/eval"
 	"relsim/internal/graph"
 	"relsim/internal/replica"
 	"relsim/internal/schema"
 	"relsim/internal/server"
-	"relsim/internal/sparse"
 	"relsim/internal/store"
 	"relsim/internal/wal"
 )
@@ -69,119 +67,141 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// options is relsim-serve's parsed command line: the server's Config,
+// bound flag by flag, plus the settings that choose the graph, open the
+// store and run the listener.
+type options struct {
+	server server.Config
+
+	addr, dataset, in, schemaName string
+	drain                         time.Duration
+	dataDir                       string
+	sync                          wal.SyncPolicy
+	syncInterval                  time.Duration
+	checkpointEvery               uint64
+	segmentBytes                  int64
+	logRetention                  int
+	follow                        string
+	pollInterval                  time.Duration
+}
+
+// parseFlags parses args into options. Every server flag reads its
+// default from server.DefaultConfig except -timeout (30s), -slow-query
+// (250ms) and the access log, which goes to stderr. -fsync and
+// -log-format are validated here, so a bad value fails in every mode.
+func parseFlags(args []string) (*options, error) {
+	o := &options{server: server.DefaultConfig()}
+	cfg := &o.server
+	cfg.Timeout = 30 * time.Second
+	cfg.SlowQuery = 250 * time.Millisecond
+	cfg.AccessLog = os.Stderr
+
 	fs := flag.NewFlagSet("relsim-serve", flag.ExitOnError)
-	addr := fs.String("addr", ":8080", "listen address")
-	dataset := fs.String("dataset", "", fmt.Sprintf("built-in dataset to serve %v", datasets.Names()))
-	in := fs.String("in", "", "graph file to serve (JSON lines, see internal/graph/io.go)")
-	schemaName := fs.String("schema", "", "built-in schema for Algorithm-1 expansion (dblp|wsu|biomed); defaults to the dataset's own schema")
-	workers := fs.Int("workers", server.DefaultWorkers, "default /batch worker-pool size")
-	cacheLimit := fs.Int("cache-limit", 0, "max cached commuting matrices across versions, 0 = unbounded")
-	timeout := fs.Duration("timeout", 30*time.Second, "default /search and /batch evaluation deadline (0 = none; per-request override via ?timeout_ms=)")
-	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline for in-flight requests")
-	defGate := sparse.DefaultThresholds()
-	minDim := fs.Int("parallel-min-dim", defGate.MinDim, "min matrix dimension for the parallel SpGEMM kernel")
-	minNNZ := fs.Int("parallel-min-nnz", defGate.MinNNZ, "min combined nnz for the parallel SpGEMM kernel")
-	workloadPlan := fs.Bool("workload-plan", true, "workload-aware /batch planning: canonicalize patterns, share sub-pattern matrices across the whole batch, materialize each distinct subexpression once")
-	deltaMaint := fs.Bool("delta-maintenance", true, "incremental cache maintenance: patch stale cached commuting matrices to the new version with sparse delta products on each commit, instead of evicting them")
-	deltaDensity := fs.Float64("delta-max-density", eval.DefaultMaxDeltaDensity, "delta density (nonzeros as a fraction of n²) above which maintenance of a pattern falls back to evict-and-recompute")
-	annotate := fs.Bool("annotate", true, "semiring-annotated evaluation: the annotate=witness parameter on /search, /batch and /explain; off rejects annotated requests")
-	dataDir := fs.String("data-dir", "", "durable data directory (write-ahead log + checkpoints); empty serves in-memory only")
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.dataset, "dataset", "", fmt.Sprintf("built-in dataset to serve %v", datasets.Names()))
+	fs.StringVar(&o.in, "in", "", "graph file to serve (JSON lines, see internal/graph/io.go)")
+	fs.StringVar(&o.schemaName, "schema", "", "built-in schema for Algorithm-1 expansion (dblp|wsu|biomed); defaults to the dataset's own schema")
+	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "default /batch worker-pool size")
+	fs.IntVar(&cfg.CacheLimit, "cache-limit", cfg.CacheLimit, "max cached commuting matrices across versions, 0 = unbounded")
+	fs.DurationVar(&cfg.Timeout, "timeout", cfg.Timeout, "default /search and /batch evaluation deadline (0 = none; per-request override via ?timeout_ms=)")
+	fs.DurationVar(&o.drain, "drain", 5*time.Second, "graceful-shutdown drain deadline for in-flight requests")
+	fs.IntVar(&cfg.Parallel.MinDim, "parallel-min-dim", cfg.Parallel.MinDim, "min matrix dimension for the parallel SpGEMM kernel")
+	fs.IntVar(&cfg.Parallel.MinNNZ, "parallel-min-nnz", cfg.Parallel.MinNNZ, "min combined nnz for the parallel SpGEMM kernel")
+	fs.BoolVar(&cfg.WorkloadPlanning, "workload-plan", cfg.WorkloadPlanning, "workload-aware /batch planning: canonicalize patterns, share sub-pattern matrices across the whole batch, materialize each distinct subexpression once")
+	fs.BoolVar(&cfg.DeltaMaintenance, "delta-maintenance", cfg.DeltaMaintenance, "incremental cache maintenance: patch stale cached commuting matrices to the new version with sparse delta products on each commit, instead of evicting them")
+	fs.Float64Var(&cfg.DeltaMaxDensity, "delta-max-density", cfg.DeltaMaxDensity, "delta density (nonzeros as a fraction of n²) above which maintenance of a pattern falls back to evict-and-recompute")
+	fs.BoolVar(&cfg.Annotation, "annotate", cfg.Annotation, "semiring-annotated evaluation: the annotate=witness parameter on /search, /batch and /explain; off rejects annotated requests")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durable data directory (write-ahead log + checkpoints); empty serves in-memory only")
 	fsync := fs.String("fsync", "always", "WAL fsync policy: always (no committed batch is ever lost), interval, never")
-	fsyncInterval := fs.Duration("fsync-interval", wal.DefaultSyncInterval, "fsync cadence for -fsync interval")
-	checkpointEvery := fs.Uint64("checkpoint-every", store.DefaultCheckpointEvery, "versions between graph checkpoints (0 = only the boot checkpoint)")
-	segmentBytes := fs.Int64("wal-segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation bound in bytes (smaller segments let checkpoints trim history sooner)")
-	logRetention := fs.Int("log-retention", store.DefaultLogCap, "in-memory replication feed retention in records (a durable store falls back to the WAL past it)")
-	follow := fs.String("follow", "", "leader base URL (e.g. http://leader:8080); run as a read replica of it")
-	pollInterval := fs.Duration("poll-interval", replica.DefaultPollInterval, "follower: feed poll cadence while caught up")
-	maxLag := fs.Uint64("max-lag", 0, "follower: /healthz turns 503 while replication lag exceeds this many versions (0 = unbounded)")
-	maxLagAge := fs.Duration("max-lag-age", 0, "follower: /healthz turns 503 while behind for longer than this (0 = unbounded; catches an unreachable leader, whose version lag freezes)")
-	maxInflight := fs.Int("max-inflight", 0, "admission control: max concurrently admitted evaluation/mutation requests, shedding the excess with 503 before any snapshot is pinned (0 = unlimited)")
-	queueDepth := fs.Int("queue-depth", 0, "admission control: bounded wait queue above -max-inflight; a full queue sheds immediately (0 = no queue)")
-	rate := fs.Float64("rate", 0, "per-client token-bucket rate limit in requests/second, keyed by X-Relsim-Api-Key or remote address; drained buckets answer 429 + Retry-After (0 = unlimited)")
-	burst := fs.Int("burst", 0, "per-client burst capacity above -rate (0 = a sensible default)")
-	maxCost := fs.Int("max-cost", 0, "per-request cost ceiling in estimated matrix products; costlier requests answer 422 before materialization (0 = unlimited)")
-	maxBodyBytes := fs.Int64("max-body-bytes", server.DefaultMaxBodyBytes, "request-body size bound; larger bodies answer 413 (0 = unbounded)")
-	maxTimeout := fs.Duration("max-timeout", server.DefaultMaxTimeout, "ceiling for the per-request ?timeout_ms= override; larger values are clamped (0 = no ceiling)")
-	slowQuery := fs.Duration("slow-query", 250*time.Millisecond, "slow-query log threshold: requests slower than this are captured into GET /debug/queries (0 = disabled)")
-	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default: profiles expose process memory)")
+	fs.DurationVar(&o.syncInterval, "fsync-interval", wal.DefaultSyncInterval, "fsync cadence for -fsync interval")
+	fs.Uint64Var(&o.checkpointEvery, "checkpoint-every", store.DefaultCheckpointEvery, "versions between graph checkpoints (0 = only the boot checkpoint)")
+	fs.Int64Var(&o.segmentBytes, "wal-segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation bound in bytes (smaller segments let checkpoints trim history sooner)")
+	fs.IntVar(&o.logRetention, "log-retention", store.DefaultLogCap, "in-memory replication feed retention in records (a durable store falls back to the WAL past it)")
+	fs.StringVar(&o.follow, "follow", "", "leader base URL (e.g. http://leader:8080); run as a read replica of it")
+	fs.DurationVar(&o.pollInterval, "poll-interval", replica.DefaultPollInterval, "follower: feed poll cadence while caught up")
+	fs.Uint64Var(&cfg.MaxLag, "max-lag", cfg.MaxLag, "follower: /healthz turns 503 while replication lag exceeds this many versions (0 = unbounded)")
+	fs.DurationVar(&cfg.MaxLagAge, "max-lag-age", cfg.MaxLagAge, "follower: /healthz turns 503 while behind for longer than this (0 = unbounded; catches an unreachable leader, whose version lag freezes)")
+	fs.IntVar(&cfg.Admission.MaxInFlight, "max-inflight", cfg.Admission.MaxInFlight, "admission control: max concurrently admitted evaluation/mutation requests, shedding the excess with 503 before any snapshot is pinned (0 = unlimited)")
+	fs.IntVar(&cfg.Admission.QueueDepth, "queue-depth", cfg.Admission.QueueDepth, "admission control: bounded wait queue above -max-inflight; a full queue sheds immediately (0 = no queue)")
+	fs.Float64Var(&cfg.Admission.Rate, "rate", cfg.Admission.Rate, "per-client token-bucket rate limit in requests/second, keyed by X-Relsim-Api-Key or remote address; drained buckets answer 429 + Retry-After (0 = unlimited)")
+	fs.IntVar(&cfg.Admission.Burst, "burst", cfg.Admission.Burst, "per-client burst capacity above -rate (0 = a sensible default)")
+	fs.IntVar(&cfg.Admission.MaxCost, "max-cost", cfg.Admission.MaxCost, "per-request cost ceiling in estimated matrix products; costlier requests answer 422 before materialization (0 = unlimited)")
+	fs.Int64Var(&cfg.MaxBodyBytes, "max-body-bytes", cfg.MaxBodyBytes, "request-body size bound; larger bodies answer 413 (0 = unbounded)")
+	fs.DurationVar(&cfg.MaxTimeout, "max-timeout", cfg.MaxTimeout, "ceiling for the per-request ?timeout_ms= override; larger values are clamped (0 = no ceiling)")
+	fs.DurationVar(&cfg.SlowQuery, "slow-query", cfg.SlowQuery, "slow-query log threshold: requests slower than this are captured into GET /debug/queries (0 = disabled)")
+	fs.BoolVar(&cfg.Pprof, "pprof", cfg.Pprof, "mount net/http/pprof under /debug/pprof/ (off by default: profiles expose process memory)")
 	logFormat := fs.String("log-format", "text", "access-log format, one line per request to stderr: text or json")
 	fs.Parse(args)
 
-	accessJSON, err := parseLogFormat(*logFormat)
+	var err error
+	if o.sync, err = wal.ParseSyncPolicy(*fsync); err != nil {
+		return nil, err
+	}
+	switch *logFormat {
+	case "text":
+	case "json":
+		cfg.AccessLogJSON = true
+	default:
+		return nil, fmt.Errorf("invalid -log-format %q (want text or json)", *logFormat)
+	}
+	return o, nil
+}
+
+func run(args []string) error {
+	o, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-
-	adm := admissionOptions(*maxInflight, *queueDepth, *rate, *burst, *maxCost, *maxBodyBytes, *maxTimeout)
-
-	if *follow != "" {
-		return runFollower(followerConfig{
-			addr: *addr, leader: *follow, schemaName: *schemaName,
-			workers: *workers, cacheLimit: *cacheLimit, timeout: *timeout, drain: *drain,
-			gate: sparse.Thresholds{MinDim: *minDim, MinNNZ: *minNNZ}, plan: *workloadPlan,
-			deltaMaint: *deltaMaint, deltaDensity: *deltaDensity, annotate: *annotate,
-			dataDir: *dataDir, fsync: *fsync, fsyncInterval: *fsyncInterval,
-			checkpointEvery: *checkpointEvery, segmentBytes: *segmentBytes, logRetention: *logRetention,
-			pollInterval: *pollInterval, maxLag: *maxLag, maxLagAge: *maxLagAge,
-			dataset: *dataset, in: *in,
-			slowQuery: *slowQuery, pprof: *pprofOn, accessJSON: accessJSON,
-			admission: adm,
-		})
+	if o.follow != "" {
+		return runFollower(o)
 	}
 
-	g, sc, err := load(*dataset, *in, *schemaName)
+	g, sc, err := load(o.dataset, o.in, o.schemaName)
 	if err != nil {
 		return err
 	}
-	var st *store.Store
-	if *dataDir != "" {
-		policy, err := wal.ParseSyncPolicy(*fsync)
-		if err != nil {
-			return err
-		}
-		// Recovery happens here, before the listener exists: no request
-		// can observe a half-replayed store.
-		st, err = store.Open(*dataDir,
-			store.WithSeed(g),
-			store.WithSync(policy),
-			store.WithSyncInterval(*fsyncInterval),
-			store.WithCheckpointEvery(*checkpointEvery),
-			store.WithSegmentBytes(*segmentBytes),
-			store.WithLogRetention(*logRetention),
-		)
-		if err != nil {
-			return err
-		}
-		ds := st.DurabilityStats()
-		log.Printf("durable store %s: recovered version %d (checkpoint %d + %d replayed records, %d torn records truncated), fsync %s, checkpoint every %d",
-			*dataDir, ds.Recovery.RecoveredVersion, ds.Recovery.CheckpointVersion,
-			ds.Recovery.ReplayedRecords, ds.WAL.TornTruncated, ds.SyncPolicy, ds.CheckpointEvery)
-	} else {
-		st = store.New(g)
-		st.SetLogRetention(*logRetention)
+	st, err := openStore(o, g)
+	if err != nil {
+		return err
 	}
 	defer st.Close()
-	srvOpts := []server.Option{
-		server.WithWorkers(*workers),
-		server.WithCacheLimit(*cacheLimit),
-		server.WithTimeout(*timeout),
-		server.WithParallelThresholds(sparse.Thresholds{MinDim: *minDim, MinNNZ: *minNNZ}),
-		server.WithWorkloadPlanning(*workloadPlan),
-		server.WithDeltaMaintenance(*deltaMaint),
-		server.WithDeltaMaxDensity(*deltaDensity),
-		server.WithAnnotation(*annotate),
-		server.WithSlowQuery(*slowQuery),
-		server.WithPprof(*pprofOn),
-		server.WithAccessLog(os.Stderr, accessJSON),
-	}
-	srv := server.New(st, sc, append(srvOpts, adm...)...)
+	cfg := o.server
+	srv := server.New(st, sc, func(c *server.Config) { *c = cfg })
 
 	stats := st.Stats()
 	log.Printf("serving %d nodes, %d edges, labels %v on %s (MVCC snapshot isolation, timeout %v, workload planning %v, durable %v, slow-query %v, pprof %v, max-inflight %d, rate %g, max-cost %d)",
-		stats.Nodes, stats.Edges, stats.Labels, *addr, *timeout, *workloadPlan, st.Durable(), *slowQuery, *pprofOn, *maxInflight, *rate, *maxCost)
+		stats.Nodes, stats.Edges, stats.Labels, o.addr, cfg.Timeout, cfg.WorkloadPlanning, st.Durable(), cfg.SlowQuery, cfg.Pprof, cfg.Admission.MaxInFlight, cfg.Admission.Rate, cfg.Admission.MaxCost)
 
-	return serve(srv, st, *addr, *drain, nil, nil)
+	return serve(srv, st, o.addr, o.drain, nil, nil)
+}
+
+// openStore builds the store both modes serve from: in-memory over
+// seed without -data-dir, else the durable store in that directory,
+// where seed (nil for a follower) only initializes a fresh directory.
+// Recovery happens here, before the listener exists: no request can
+// observe a half-replayed store.
+func openStore(o *options, seed *graph.Graph) (*store.Store, error) {
+	if o.dataDir == "" {
+		st := store.New(seed)
+		st.SetLogRetention(o.logRetention)
+		return st, nil
+	}
+	st, err := store.Open(o.dataDir,
+		store.WithSeed(seed),
+		store.WithSync(o.sync),
+		store.WithSyncInterval(o.syncInterval),
+		store.WithCheckpointEvery(o.checkpointEvery),
+		store.WithSegmentBytes(o.segmentBytes),
+		store.WithLogRetention(o.logRetention),
+	)
+	if err != nil {
+		return nil, err
+	}
+	ds := st.DurabilityStats()
+	log.Printf("durable store %s: recovered version %d (checkpoint %d + %d replayed records, %d torn records truncated), fsync %s, checkpoint every %d",
+		o.dataDir, ds.Recovery.RecoveredVersion, ds.Recovery.CheckpointVersion,
+		ds.Recovery.ReplayedRecords, ds.WAL.TornTruncated, ds.SyncPolicy, ds.CheckpointEvery)
+	return st, nil
 }
 
 // serve runs the HTTP server until SIGINT/SIGTERM, then drains and —
@@ -231,104 +251,33 @@ func serve(srv *server.Server, st *store.Store, addr string, drain time.Duration
 	}
 }
 
-// followerConfig carries the follower-mode flags.
-type followerConfig struct {
-	addr, leader, schemaName string
-	workers, cacheLimit      int
-	timeout, drain           time.Duration
-	gate                     sparse.Thresholds
-	plan                     bool
-	deltaMaint               bool
-	deltaDensity             float64
-	annotate                 bool
-	dataDir, fsync           string
-	fsyncInterval            time.Duration
-	checkpointEvery          uint64
-	segmentBytes             int64
-	logRetention             int
-	pollInterval             time.Duration
-	maxLag                   uint64
-	maxLagAge                time.Duration
-	dataset, in              string
-	slowQuery                time.Duration
-	pprof                    bool
-	accessJSON               bool
-	admission                []server.Option
-}
-
-// admissionOptions folds the traffic-hardening flags into server
-// options. Followers get the identical envelope: a replica is just as
-// overloadable as its leader, and the exempt replication surface
-// (/log, /checkpoint) is never gated on either.
-func admissionOptions(maxInflight, queueDepth int, rate float64, burst, maxCost int, maxBodyBytes int64, maxTimeout time.Duration) []server.Option {
-	return []server.Option{
-		server.WithAdmissionLimits(maxInflight, queueDepth),
-		server.WithAdmissionRate(rate, burst),
-		server.WithAdmissionMaxCost(maxCost),
-		server.WithMaxBodyBytes(maxBodyBytes),
-		server.WithMaxTimeout(maxTimeout),
-	}
-}
-
-// parseLogFormat validates -log-format and reports whether the access
-// log should be JSON.
-func parseLogFormat(v string) (bool, error) {
-	switch v {
-	case "text":
-		return false, nil
-	case "json":
-		return true, nil
-	}
-	return false, fmt.Errorf("invalid -log-format %q (want text or json)", v)
-}
-
 // runFollower boots a read replica: build the (optionally durable)
 // store, bootstrap + catch up from the leader synchronously — the
 // listener only opens on a converged replica, mirroring how a durable
 // leader recovers before listening — then serve reads while the tailer
 // keeps following.
-func runFollower(cfg followerConfig) error {
-	if cfg.dataset != "" || cfg.in != "" {
+func runFollower(o *options) error {
+	if o.dataset != "" || o.in != "" {
 		return fmt.Errorf("-follow is mutually exclusive with -dataset/-in: a follower's graph comes from the leader's checkpoint")
 	}
-	leaderURL, err := replica.LeaderURL(cfg.leader)
+	leaderURL, err := replica.LeaderURL(o.follow)
 	if err != nil {
 		return err
 	}
-	var sc *schema.Schema
-	if cfg.schemaName != "" {
-		if sc = datasets.SchemaByName(cfg.schemaName); sc == nil {
-			return fmt.Errorf("unknown schema %q (have dblp|wsu|biomed)", cfg.schemaName)
-		}
+	sc, err := lookupSchema(o.schemaName)
+	if err != nil {
+		return err
 	}
-	var st *store.Store
-	if cfg.dataDir != "" {
-		policy, err := wal.ParseSyncPolicy(cfg.fsync)
-		if err != nil {
-			return err
-		}
-		st, err = store.Open(cfg.dataDir,
-			store.WithSync(policy),
-			store.WithSyncInterval(cfg.fsyncInterval),
-			store.WithCheckpointEvery(cfg.checkpointEvery),
-			store.WithSegmentBytes(cfg.segmentBytes),
-			store.WithLogRetention(cfg.logRetention),
-		)
-		if err != nil {
-			return err
-		}
-		ds := st.DurabilityStats()
-		log.Printf("durable replica store %s: recovered version %d", cfg.dataDir, ds.Recovery.RecoveredVersion)
-	} else {
-		st = store.New(nil)
-		st.SetLogRetention(cfg.logRetention)
+	st, err := openStore(o, nil)
+	if err != nil {
+		return err
 	}
 	defer st.Close()
 
 	tailCtx, stopTail := context.WithCancel(context.Background())
 	defer stopTail()
 	f := replica.New(st, leaderURL, replica.Options{
-		PollInterval: cfg.pollInterval,
+		PollInterval: o.pollInterval,
 		Logf:         log.Printf,
 	})
 	// One signal channel for the follower's whole lifetime, registered
@@ -369,27 +318,15 @@ func runFollower(cfg followerConfig) error {
 		f.Run(tailCtx)
 	}()
 
-	srvOpts := []server.Option{
-		server.WithWorkers(cfg.workers),
-		server.WithCacheLimit(cfg.cacheLimit),
-		server.WithTimeout(cfg.timeout),
-		server.WithParallelThresholds(cfg.gate),
-		server.WithWorkloadPlanning(cfg.plan),
-		server.WithDeltaMaintenance(cfg.deltaMaint),
-		server.WithDeltaMaxDensity(cfg.deltaDensity),
-		server.WithAnnotation(cfg.annotate),
-		server.WithFollower(f, cfg.maxLag, cfg.maxLagAge),
-		server.WithSlowQuery(cfg.slowQuery),
-		server.WithPprof(cfg.pprof),
-		server.WithAccessLog(os.Stderr, cfg.accessJSON),
-	}
-	srv := server.New(st, sc, append(srvOpts, cfg.admission...)...)
+	cfg := o.server
+	cfg.Follower = f
+	srv := server.New(st, sc, func(c *server.Config) { *c = cfg })
 
 	stats := st.Stats()
 	log.Printf("follower of %s serving %d nodes, %d edges at version %d on %s (poll %v, max lag %d, durable %v)",
-		leaderURL, stats.Nodes, stats.Edges, stats.Version, cfg.addr, cfg.pollInterval, cfg.maxLag, st.Durable())
+		leaderURL, stats.Nodes, stats.Edges, stats.Version, o.addr, o.pollInterval, cfg.MaxLag, st.Durable())
 
-	return serve(srv, st, cfg.addr, cfg.drain, func() {
+	return serve(srv, st, o.addr, o.drain, func() {
 		stopTail()
 		<-tailDone
 	}, relay)
@@ -410,11 +347,9 @@ func flushStats(srv *server.Server) {
 // dataset (which brings its own schema unless -schema overrides it) or
 // a graph file plus an optional built-in schema.
 func load(dataset, in, schemaName string) (*graph.Graph, *schema.Schema, error) {
-	var override *schema.Schema
-	if schemaName != "" {
-		if override = datasets.SchemaByName(schemaName); override == nil {
-			return nil, nil, fmt.Errorf("unknown schema %q (have dblp|wsu|biomed)", schemaName)
-		}
+	override, err := lookupSchema(schemaName)
+	if err != nil {
+		return nil, nil, err
 	}
 	switch {
 	case dataset != "" && in != "":
@@ -441,4 +376,15 @@ func load(dataset, in, schemaName string) (*graph.Graph, *schema.Schema, error) 
 		return g, override, nil
 	}
 	return nil, nil, fmt.Errorf("one of -dataset or -in is required")
+}
+
+// lookupSchema resolves a -schema name; the empty name means none.
+func lookupSchema(name string) (*schema.Schema, error) {
+	if name == "" {
+		return nil, nil
+	}
+	if sc := datasets.SchemaByName(name); sc != nil {
+		return sc, nil
+	}
+	return nil, fmt.Errorf("unknown schema %q (have dblp|wsu|biomed)", name)
 }

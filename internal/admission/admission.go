@@ -46,7 +46,7 @@ import (
 const DefaultQueueWait = 2 * time.Second
 
 // DefaultMaxClients bounds how many distinct client keys the rate
-// limiter tracks, when Config.MaxClients is zero. Keys come off the
+// limiter tracks, when Config.maxClients is zero. Keys come off the
 // wire (API keys, remote addresses), so an unbounded map is a memory
 // leak under adversarial traffic; least-recently-seen buckets are
 // evicted past the bound.
@@ -80,9 +80,9 @@ type Config struct {
 	// the default bucket for those keys (an override with Rate <= 0
 	// makes that tenant unlimited).
 	Overrides map[string]RateLimit
-	// MaxClients bounds the tracked client keys; 0 means
-	// DefaultMaxClients.
-	MaxClients int
+	// maxClients bounds the tracked client keys; 0 means
+	// DefaultMaxClients. Only this package's tests lower it.
+	maxClients int
 	// MaxCost is the per-request cost ceiling in estimated matrix
 	// products; <= 0 disables cost rejection.
 	MaxCost int
@@ -152,8 +152,8 @@ func New(cfg Config) *Controller {
 	if c.queueWait <= 0 {
 		c.queueWait = DefaultQueueWait
 	}
-	if c.cfg.MaxClients <= 0 {
-		c.cfg.MaxClients = DefaultMaxClients
+	if c.cfg.maxClients <= 0 {
+		c.cfg.maxClients = DefaultMaxClients
 	}
 	if cfg.MaxInFlight > 0 {
 		c.sem = make(chan struct{}, cfg.MaxInFlight)
@@ -224,7 +224,7 @@ func (c *Controller) Allow(key string) (ok bool, retryAfter time.Duration) {
 // least-recently-used bucket is dropped (a returning client simply
 // starts a fresh, full bucket — eviction can only ever be generous).
 func (c *Controller) evictLocked() {
-	for len(c.buckets) >= c.cfg.MaxClients {
+	for len(c.buckets) >= c.cfg.maxClients {
 		victim, oldest, first := "", uint64(0), true
 		for k, b := range c.buckets {
 			if first || b.touched < oldest {

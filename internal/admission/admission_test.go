@@ -257,7 +257,7 @@ func TestRateLimitTenantOverrides(t *testing.T) {
 
 func TestRateLimitKeyBoundEvictsLRU(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{Rate: 1, Burst: 1, MaxClients: 3})
+	c := New(Config{Rate: 1, Burst: 1, maxClients: 3})
 	c.now = clk.now
 	c.Allow("a")
 	c.Allow("b")

@@ -45,68 +45,6 @@ const APIKeyHeader = "X-Relsim-Api-Key"
 // AdmissionStats is the /stats view of the admission controller.
 type AdmissionStats = admission.Stats
 
-// WithAdmissionLimits enables concurrency-gated admission: at most
-// maxInFlight gated requests run concurrently, up to queueDepth more
-// wait in a bounded queue, and the rest are shed with 503 before any
-// request work happens. maxInFlight <= 0 disables the gate.
-func WithAdmissionLimits(maxInFlight, queueDepth int) Option {
-	return func(s *Server) {
-		s.admCfg.MaxInFlight = maxInFlight
-		s.admCfg.QueueDepth = queueDepth
-	}
-}
-
-// WithAdmissionQueueWait bounds how long one queued request waits for
-// capacity before it is shed (default admission.DefaultQueueWait).
-func WithAdmissionQueueWait(d time.Duration) Option {
-	return func(s *Server) { s.admCfg.QueueWait = d }
-}
-
-// WithAdmissionRate enables per-client token-bucket rate limiting:
-// rate sustained requests/second with burst capacity above it, keyed
-// by X-Relsim-Api-Key (falling back to the remote address). rate <= 0
-// disables the default bucket; per-tenant overrides still apply.
-func WithAdmissionRate(rate float64, burst int) Option {
-	return func(s *Server) {
-		s.admCfg.Rate = rate
-		s.admCfg.Burst = burst
-	}
-}
-
-// WithAdmissionTenantRate overrides the token bucket for one client
-// key (rate <= 0 makes that tenant unlimited). May be repeated.
-func WithAdmissionTenantRate(key string, rate float64, burst int) Option {
-	return func(s *Server) {
-		if s.admCfg.Overrides == nil {
-			s.admCfg.Overrides = make(map[string]admission.RateLimit)
-		}
-		s.admCfg.Overrides[key] = admission.RateLimit{Rate: rate, Burst: burst}
-	}
-}
-
-// WithAdmissionMaxCost sets the per-request cost ceiling in estimated
-// matrix products (the workload plan's schedule length): requests whose
-// pattern set would cost more answer 422 before materialization
-// starts. n <= 0 disables the ceiling.
-func WithAdmissionMaxCost(n int) Option {
-	return func(s *Server) { s.admCfg.MaxCost = n }
-}
-
-// WithMaxBodyBytes bounds request bodies; larger bodies answer 413 at
-// decode time instead of being read fully into memory. n <= 0 removes
-// the bound (default DefaultMaxBodyBytes).
-func WithMaxBodyBytes(n int64) Option {
-	return func(s *Server) { s.maxBody = n }
-}
-
-// WithMaxTimeout caps the per-request ?timeout_ms= override (default
-// DefaultMaxTimeout): larger values are clamped to d, so a client can
-// shorten the server deadline but never extend it past the operator's
-// ceiling. d <= 0 removes the cap.
-func WithMaxTimeout(d time.Duration) Option {
-	return func(s *Server) { s.maxTimeout = d }
-}
-
 // Admission returns the server's admission controller (nil when no
 // admission mechanism is configured) — tests and the cmd layer probe
 // it.
@@ -188,8 +126,8 @@ func (s *Server) protected(w http.ResponseWriter, r *http.Request) {
 		defer release()
 		s.admWait.Observe(waited.Seconds())
 	}
-	if s.maxBody > 0 && r.Body != nil && r.Body != http.NoBody {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	if s.cfg.MaxBodyBytes > 0 && r.Body != nil && r.Body != http.NoBody {
+		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	}
 	s.mux.ServeHTTP(w, r)
 }

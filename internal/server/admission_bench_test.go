@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"relsim/internal/admission"
 	"relsim/internal/datasets"
 	"relsim/internal/store"
 )
@@ -55,7 +56,7 @@ func BenchmarkAdmissionOverload(b *testing.B) {
 	const maxInFlight = 1
 	const overloadClients = 4 * maxInFlight
 	srv := New(store.New(ds.Graph), ds.Schema,
-		WithAdmissionLimits(maxInFlight, 0),
+		withAdmission(admission.Config{MaxInFlight: maxInFlight}),
 	)
 	// A 25-query slice of the overlap workload: enough work per request
 	// (~1ms warm) that overload actually builds inside the gate, small

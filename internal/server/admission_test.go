@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"relsim/internal/admission"
 	"relsim/internal/eval"
 	"relsim/internal/rre"
 	"relsim/internal/store"
@@ -19,6 +20,11 @@ import (
 
 // newAdmServer is newTestServer with options, also handing back the
 // store so tests can probe PinStats.
+// withAdmission sets the server's admission config.
+func withAdmission(a admission.Config) Option {
+	return func(c *Config) { c.Admission = a }
+}
+
 func newAdmServer(t *testing.T, opts ...Option) (*store.Store, *Server, *httptest.Server) {
 	t.Helper()
 	st := store.New(testGraph())
@@ -93,7 +99,7 @@ func TestRequestContextTimeoutMs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := New(store.New(testGraph()), nil, WithMaxTimeout(tc.max))
+			srv := New(store.New(testGraph()), nil, func(c *Config) { c.MaxTimeout = tc.max })
 			url := "/search"
 			if tc.raw != "" {
 				url += "?timeout_ms=" + tc.raw
@@ -141,7 +147,7 @@ func TestTimeoutMsRejectedOverHTTP(t *testing.T) {
 // TestBodyBound verifies the MaxBytesReader satellite: oversized bodies
 // answer 413 with a stable code instead of being read whole.
 func TestBodyBound(t *testing.T) {
-	_, _, ts := newAdmServer(t, WithMaxBodyBytes(128))
+	_, _, ts := newAdmServer(t, func(c *Config) { c.MaxBodyBytes = 128 })
 	big := SearchRequest{Pattern: "by.by-", Query: strings.Repeat("x", 4096)}
 	code, _, e := postKeyed(t, ts, "/search", "", big)
 	if code != http.StatusRequestEntityTooLarge || e.Code != "body_too_large" {
@@ -241,7 +247,7 @@ func TestBatchWorkerPanicIsPerQueryError(t *testing.T) {
 // shed with 503 + Retry-After without ever pinning a snapshot —
 // PinStats stays exactly at the in-flight count.
 func TestShedBeforePin(t *testing.T) {
-	st, srv, ts := newAdmServer(t, WithAdmissionLimits(2, 0))
+	st, srv, ts := newAdmServer(t, withAdmission(admission.Config{MaxInFlight: 2}))
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
 	srv.testHookEval = func(req *SearchRequest) {
@@ -303,8 +309,10 @@ func TestShedBeforePin(t *testing.T) {
 // 429 + Retry-After on a drained bucket, and per-tenant overrides.
 func TestRateLimit(t *testing.T) {
 	_, _, ts := newAdmServer(t,
-		WithAdmissionRate(0.5, 2),
-		WithAdmissionTenantRate("vip", 0, 0), // unlimited
+		withAdmission(admission.Config{
+			Rate: 0.5, Burst: 2,
+			Overrides: map[string]admission.RateLimit{"vip": {}}, // unlimited
+		}),
 	)
 	req := SearchRequest{Pattern: "by.by-", Query: "p1"}
 	for i := 0; i < 2; i++ {
@@ -341,7 +349,7 @@ func TestCostCeiling(t *testing.T) {
 	if costLong <= costCheap {
 		t.Fatalf("test premise broken: cost(%s)=%d, cost(%s)=%d", long, costLong, cheap, costCheap)
 	}
-	_, srv, ts := newAdmServer(t, WithAdmissionMaxCost(costCheap))
+	_, srv, ts := newAdmServer(t, withAdmission(admission.Config{MaxCost: costCheap}))
 
 	code, _, e := postKeyed(t, ts, "/search", "", SearchRequest{Pattern: long, Query: "p1", NoExpand: true})
 	if code != http.StatusUnprocessableEntity || e.Code != "cost_ceiling" {
@@ -371,8 +379,7 @@ func TestCostCeiling(t *testing.T) {
 // relsim_admission_* series (and still lints).
 func TestStatsAndMetricsAdmission(t *testing.T) {
 	_, srv, ts := newAdmServer(t,
-		WithAdmissionLimits(8, 4),
-		WithAdmissionRate(0.001, 1),
+		withAdmission(admission.Config{MaxInFlight: 8, QueueDepth: 4, Rate: 0.001, Burst: 1}),
 	)
 	req := SearchRequest{Pattern: "by.by-", Query: "p1"}
 	if code, _, _ := postKeyed(t, ts, "/search", "carol", req); code != http.StatusOK {
@@ -467,8 +474,7 @@ func rawPost(ts *httptest.Server, path string, body any) (int, error) {
 func TestOverloadStorm(t *testing.T) {
 	const maxInFlight = 4
 	st, srv, ts := newAdmServer(t,
-		WithAdmissionLimits(maxInFlight, 2),
-		WithAdmissionQueueWait(50*time.Millisecond),
+		withAdmission(admission.Config{MaxInFlight: maxInFlight, QueueDepth: 2, QueueWait: 50 * time.Millisecond}),
 	)
 	// Slow every search a little so the gate actually saturates.
 	srv.testHookEval = func(req *SearchRequest) { time.Sleep(2 * time.Millisecond) }
@@ -621,7 +627,7 @@ func TestOverloadStorm(t *testing.T) {
 // TestQueueAdmitsWhenCapacityFrees: a queued request (not shed — depth
 // allows it) is admitted once a blocked request finishes.
 func TestQueueAdmitsWhenCapacityFrees(t *testing.T) {
-	_, srv, ts := newAdmServer(t, WithAdmissionLimits(1, 1), WithAdmissionQueueWait(5*time.Second))
+	_, srv, ts := newAdmServer(t, withAdmission(admission.Config{MaxInFlight: 1, QueueDepth: 1, QueueWait: 5 * time.Second}))
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	srv.testHookEval = func(req *SearchRequest) {

@@ -27,15 +27,6 @@ import (
 // counts plus a bounded shortlex-minimal derivation prefix per entry.
 const AnnotateWitness = "witness"
 
-// WithAnnotation toggles semiring-annotated evaluation (default on):
-// the annotate=witness parameter on /search, /batch and /explain. Off
-// rejects annotated requests with code "annotation_disabled" — the
-// operator's lever when the annotated twin matrices must not compete
-// for cache space.
-func WithAnnotation(on bool) Option {
-	return func(s *Server) { s.annotate = on }
-}
-
 // WitnessStep is one intermediate node of a witness derivation.
 type WitnessStep struct {
 	ID   graph.NodeID `json:"id"`
@@ -89,7 +80,7 @@ func mergeAnnotate(r *http.Request, body string) (string, error) {
 // checkAnnotate validates an annotation request against the server's
 // annotation toggle, writing the rejection when disabled.
 func (s *Server) checkAnnotate(w http.ResponseWriter, annotate string) bool {
-	if annotate == "" || s.annotate {
+	if annotate == "" || s.cfg.Annotation {
 		return true
 	}
 	s.writeJSON(w, http.StatusBadRequest, errorResponse{
@@ -153,7 +144,7 @@ type SemiringStats struct {
 // semiringStats snapshots the annotation counters.
 func (s *Server) semiringStats() SemiringStats {
 	return SemiringStats{
-		Enabled:            s.annotate,
+		Enabled:            s.cfg.Annotation,
 		AnnotatedRequests:  s.nAnnotated.Load(),
 		AnnotatedProducts:  s.nAnnotatedProducts.Load(),
 		ExplainProjections: s.nExplainProjected.Load(),

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"testing"
 
+	"relsim/internal/admission"
 	"relsim/internal/eval"
 	"relsim/internal/rre"
 	"relsim/internal/store"
@@ -162,7 +163,7 @@ func TestAnnotatedCostCeiling(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := New(store.New(testGraph()), nil, WithAdmissionMaxCost(tc.maxCost))
+			srv := New(store.New(testGraph()), nil, withAdmission(admission.Config{MaxCost: tc.maxCost}))
 			ts := newHTTPServer(t, srv)
 			if code := post(t, ts, tc.path, tc.plain, nil); code != http.StatusOK {
 				t.Fatalf("plain request rejected: status %d (ceiling %d)", code, tc.maxCost)
@@ -177,10 +178,10 @@ func TestAnnotatedCostCeiling(t *testing.T) {
 	}
 }
 
-// TestAnnotateDisabled checks the WithAnnotation(false) rejection and
+// TestAnnotateDisabled checks the Config.Annotation off rejection and
 // that invalid annotate values are a 400 on an enabled server.
 func TestAnnotateDisabled(t *testing.T) {
-	srv := New(store.New(testGraph()), nil, WithAnnotation(false))
+	srv := New(store.New(testGraph()), nil, func(c *Config) { c.Annotation = false })
 	ts := newHTTPServer(t, srv)
 	var er errorResponse
 	if code := post(t, ts, "/search", SearchRequest{

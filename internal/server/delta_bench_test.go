@@ -56,7 +56,7 @@ func BenchmarkDeltaMaintenance(b *testing.B) {
 		b.Fatal(err)
 	}
 	maintained := New(store.New(ds.Graph), ds.Schema)
-	evicting := New(store.New(datasets.DBLP(datasets.SmallDBLP()).Graph), ds.Schema, WithDeltaMaintenance(false))
+	evicting := New(store.New(datasets.DBLP(datasets.SmallDBLP()).Graph), ds.Schema, func(c *Config) { c.DeltaMaintenance = false })
 	read := deltaReadWorkload()
 	flip := []MutationRequest{
 		{Add: []EdgeSpec{{From: "author0", Label: "w", To: "paper0"}}},

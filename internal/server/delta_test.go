@@ -23,7 +23,7 @@ import (
 // grow the matrix dimension mid-stream.
 func TestDeltaMaintenanceDifferential(t *testing.T) {
 	maintained := New(store.New(testGraph()), nil)
-	evicting := New(store.New(testGraph()), nil, WithDeltaMaintenance(false))
+	evicting := New(store.New(testGraph()), nil, func(c *Config) { c.DeltaMaintenance = false })
 
 	rng := rand.New(rand.NewSource(131))
 	nodes := []string{"p1", "p2", "p3", "p4", "a1", "a2", "a3"}

@@ -79,7 +79,7 @@ func TestLogFeedDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	srv := New(st, nil, WithDurability(false))
+	srv := New(st, nil, func(c *Config) { c.Durability = false })
 	ts := newHTTPServer(t, srv)
 	resp, err := http.Get(ts.URL + "/log?since=0")
 	if err != nil {
@@ -87,14 +87,14 @@ func TestLogFeedDisabled(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
-		t.Fatalf("/log served despite WithDurability(false): %d", resp.StatusCode)
+		t.Fatalf("/log served despite Config.Durability off: %d", resp.StatusCode)
 	}
 	// The /stats durability section (which names the on-disk directory)
 	// is part of the withheld surface.
 	var stats StatsResponse
 	get(t, ts, "/stats", &stats)
 	if stats.Durability.Enabled || stats.Durability.Dir != "" {
-		t.Fatalf("durability stats leaked despite WithDurability(false): %+v", stats.Durability)
+		t.Fatalf("durability stats leaked despite Config.Durability off: %+v", stats.Durability)
 	}
 }
 
@@ -202,7 +202,7 @@ func TestExplainTimeout(t *testing.T) {
 // the shared Materialize pass: a deadline expiring there must answer
 // 504 like the plan path, not surface as confusing per-query errors.
 func TestBatchMaterializeTimeoutPlanOff(t *testing.T) {
-	srv := New(store.New(testGraph()), nil, WithWorkloadPlanning(false), WithTimeout(time.Nanosecond))
+	srv := New(store.New(testGraph()), nil, func(c *Config) { c.WorkloadPlanning = false }, WithTimeout(time.Nanosecond))
 	ts := newHTTPServer(t, srv)
 	req := BatchRequest{Queries: []SearchRequest{
 		{Pattern: "by.by-", Query: "p1", Type: "paper"},
@@ -219,7 +219,8 @@ func TestBatchMaterializeTimeoutPlanOff(t *testing.T) {
 // TestExpandMemoBounded is the regression test for the Algorithm-1
 // expansion memo growing without bound under distinct-pattern traffic.
 func TestExpandMemoBounded(t *testing.T) {
-	srv := New(store.New(testGraph()), nil, WithExpandCacheLimit(2))
+	srv := New(store.New(testGraph()), nil)
+	srv.expandLimit = 2
 	ts := newHTTPServer(t, srv)
 
 	for _, p := range []string{"by", "cites", "by.by-", "cites-"} {

@@ -175,7 +175,7 @@ func (s *Server) runSearch(ev *eval.Evaluator, req *SearchRequest, tr *Trace) (*
 		if req.Annotate != AnnotateWitness {
 			return nil, fmt.Errorf("invalid annotate %q (want %q)", req.Annotate, AnnotateWitness)
 		}
-		if !s.annotate {
+		if !s.cfg.Annotation {
 			return nil, fmt.Errorf("semiring annotation is disabled on this server")
 		}
 		if alg == "rwr" || alg == "simrank" {
@@ -369,7 +369,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	workers := req.Workers
 	if workers <= 0 {
-		workers = s.workers
+		workers = s.cfg.Workers
 	}
 	// The scoring pool is capped by the query count, but the plan
 	// schedule is not: one query can expand into dozens of independent
@@ -398,7 +398,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var plan *eval.WorkloadPlan
-	if s.plan {
+	if s.cfg.WorkloadPlanning {
 		endPlan := tr.Phase("plan")
 		plan = eval.PlanWorkload(pats)
 		endPlan()
@@ -531,7 +531,7 @@ func (s *Server) queryPatterns(req *SearchRequest) (ps []*rre.Pattern, expanded 
 // expandPattern runs Algorithm 1 through the server's memo, so repeated
 // queries on the same pattern (one /batch worker after another, or
 // request after request) expand once. The memo is LRU-bounded
-// (WithExpandCacheLimit): keys are client-supplied pattern strings, and
+// (DefaultExpandCacheLimit): keys are client-supplied pattern strings, and
 // without the bound a stream of distinct patterns grows it forever.
 func (s *Server) expandPattern(p *rre.Pattern) ([]*rre.Pattern, error) {
 	key := p.String()
@@ -546,24 +546,22 @@ func (s *Server) expandPattern(p *rre.Pattern) ([]*rre.Pattern, error) {
 	}
 	s.expandMisses++
 	s.expandMu.Unlock()
-	ps, err := pattern.Generate(s.schema, p, s.genOpt)
+	ps, err := pattern.Generate(s.schema, p, pattern.Default())
 	if err != nil {
 		return nil, err
 	}
 	s.expandMu.Lock()
 	s.expandTick++
 	s.expand[key] = &expandEntry{ps: ps, used: s.expandTick}
-	if s.expandLimit > 0 {
-		for len(s.expand) > s.expandLimit {
-			victim, oldest, first := "", uint64(0), true
-			for k, ent := range s.expand {
-				if first || ent.used < oldest {
-					victim, oldest, first = k, ent.used, false
-				}
+	for len(s.expand) > s.expandLimit {
+		victim, oldest, first := "", uint64(0), true
+		for k, ent := range s.expand {
+			if first || ent.used < oldest {
+				victim, oldest, first = k, ent.used, false
 			}
-			delete(s.expand, victim)
-			s.expandEvictions++
 		}
+		delete(s.expand, victim)
+		s.expandEvictions++
 	}
 	s.expandMu.Unlock()
 	return ps, nil
@@ -905,7 +903,7 @@ type MutationResponse struct {
 }
 
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	if s.replica != nil {
+	if s.cfg.Follower != nil {
 		// A follower's store is written only by the replication tailer;
 		// accepting a client mutation would fork it from the leader's
 		// history. 403 (not 405: the method is fine, the role is not)
@@ -913,7 +911,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusForbidden, errorResponse{
 			Error:  "read-only follower: send mutations to the leader",
 			Code:   "follower_read_only",
-			Leader: s.replica.Leader(),
+			Leader: s.cfg.Follower.Leader(),
 		})
 		return
 	}

@@ -281,7 +281,7 @@ func TestMutateQueryStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := store.New(ds.Graph)
-	srv := New(st, ds.Schema, WithInstrumentation(true))
+	srv := New(st, ds.Schema, func(c *Config) { c.Instrumentation = true })
 
 	const writers, readers, iters = 3, 5, 25
 	var wg sync.WaitGroup

@@ -208,7 +208,7 @@ func (s *Server) observed(w http.ResponseWriter, r *http.Request) {
 		o.phase.With(ep, ph.Name).Observe(ph.Seconds)
 	}
 
-	if s.slow != nil && s.slowThreshold > 0 && dur >= s.slowThreshold && slowLoggable(ep) {
+	if s.slow != nil && s.cfg.SlowQuery > 0 && dur >= s.cfg.SlowQuery && slowLoggable(ep) {
 		s.slow.add(tr.slowEntry(ow.status, dur))
 	}
 	s.logAccess(r, tr, phases, ow.status, dur)
@@ -273,12 +273,12 @@ type accessRecord struct {
 // single Write is serialized, so concurrent requests cannot interleave
 // partial lines.
 func (s *Server) logAccess(r *http.Request, tr *Trace, phases []PhaseSpan, status int, dur time.Duration) {
-	if s.accessW == nil {
+	if s.cfg.AccessLog == nil {
 		return
 	}
 	ms := float64(dur) / float64(time.Millisecond)
 	var line []byte
-	if s.accessJSON {
+	if s.cfg.AccessLogJSON {
 		rec := accessRecord{
 			Time:       time.Now().UTC().Format(time.RFC3339Nano),
 			Level:      "info",
@@ -309,7 +309,7 @@ func (s *Server) logAccess(r *http.Request, tr *Trace, phases []PhaseSpan, statu
 		line = []byte(b.String())
 	}
 	s.accessMu.Lock()
-	s.accessW.Write(line)
+	s.cfg.AccessLog.Write(line)
 	s.accessMu.Unlock()
 }
 

@@ -35,7 +35,7 @@ func newObsBenchServer(tb testing.TB, instrument bool) *Server {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	opts := []Option{WithInstrumentation(instrument)}
+	opts := []Option{func(c *Config) { c.Instrumentation = instrument }}
 	if instrument {
 		opts = append(opts,
 			WithSlowQuery(250*time.Millisecond),

@@ -176,7 +176,7 @@ func TestFollowerMetrics(t *testing.T) {
 	if err := f.Start(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(fst, nil, WithFollower(f, 10, time.Minute))
+	srv := New(fst, nil, func(c *Config) { c.Follower, c.MaxLag, c.MaxLagAge = f, 10, time.Minute })
 	fams, body := scrape(t, srv)
 	for _, name := range []string{
 		"relsim_replica_lag_versions",
@@ -310,7 +310,9 @@ func TestErrorAndTimeoutAccounting(t *testing.T) {
 		},
 		{
 			name: "follower mutate 403",
-			opts: []Option{WithFollower(&fakeReplica{st: replica.Status{Leader: "http://leader:8080", SyncedOnce: true}}, 0, 0)},
+			opts: []Option{func(c *Config) {
+				c.Follower = &fakeReplica{st: replica.Status{Leader: "http://leader:8080", SyncedOnce: true}}
+			}},
 			drive: func(t *testing.T, ts *httptest.Server) {
 				var e errorResponse
 				if code := post(t, ts, "/graph/edges", MutationRequest{}, &e); code != http.StatusForbidden {
@@ -630,7 +632,7 @@ func TestAccessLog(t *testing.T) {
 
 // TestPprofMount: opt-in only.
 func TestPprofMount(t *testing.T) {
-	srv := New(store.New(testGraph()), nil, WithPprof(true))
+	srv := New(store.New(testGraph()), nil, func(c *Config) { c.Pprof = true })
 	if code, _, body := getRaw(t, srv, "/debug/pprof/"); code != http.StatusOK || !bytes.Contains(body, []byte("profile")) {
 		t.Errorf("pprof index: status %d", code)
 	}
@@ -640,12 +642,12 @@ func TestPprofMount(t *testing.T) {
 	}
 }
 
-// TestUninstrumented: WithInstrumentation(false) removes the whole
+// TestUninstrumented: Config.Instrumentation off removes the whole
 // telemetry surface — no /metrics, no request ids, zeroed /stats
 // request counters — while the query API keeps working. This is the
 // overhead benchmark's baseline configuration.
 func TestUninstrumented(t *testing.T) {
-	srv := New(store.New(testGraph()), nil, WithInstrumentation(false))
+	srv := New(store.New(testGraph()), nil, func(c *Config) { c.Instrumentation = false })
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

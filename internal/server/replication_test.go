@@ -183,13 +183,13 @@ type fakeReplica struct{ st replica.Status }
 func (f *fakeReplica) Status() replica.Status { return f.st }
 func (f *fakeReplica) Leader() string         { return f.st.Leader }
 
-// TestFollowerModeSurface: with WithFollower the server rejects
+// TestFollowerModeSurface: with Config.Follower set the server rejects
 // mutations with 403 naming the leader, reports role/lag on /healthz
 // (503 while syncing or lagging beyond the bound), and grows the /stats
 // replication section — while the read API keeps serving.
 func TestFollowerModeSurface(t *testing.T) {
 	rep := &fakeReplica{st: replica.Status{Leader: "http://leader:8080"}}
-	srv := New(store.New(testGraph()), nil, WithFollower(rep, 10, time.Minute))
+	srv := New(store.New(testGraph()), nil, func(c *Config) { c.Follower, c.MaxLag, c.MaxLagAge = rep, 10, time.Minute })
 	ts := newHTTPServer(t, srv)
 
 	// Mutations are refused with the leader's address.
@@ -242,7 +242,7 @@ func TestFollowerModeSurface(t *testing.T) {
 		t.Fatalf("follower read: %d %+v", code, sr)
 	}
 
-	// A leader (no WithFollower) reports its role too.
+	// A leader (no Config.Follower) reports its role too.
 	_, lts := newTestServer(t)
 	var lh HealthzResponse
 	if code := get(t, lts, "/healthz", &lh); code != http.StatusOK || lh.Role != "leader" || lh.Replication != nil {

@@ -10,7 +10,7 @@
 //	GET  /log          replication catch-up feed (in-memory log, WAL-backed past it)
 //	GET  /checkpoint   follower bootstrap transfer (newest checkpoint + its version)
 //
-// With WithFollower the server is a read replica: the read API serves
+// With Config.Follower set the server is a read replica: the read API serves
 // from the locally replicated store, mutations answer 403 naming the
 // leader, and /healthz + /stats expose replication lag.
 //
@@ -26,11 +26,15 @@
 // untouched patterns' matrices forward to the new version and evicts
 // the rest proactively.
 //
-// /search and /batch run under a context deadline (WithTimeout default,
+// /search and /batch run under a context deadline (Config.Timeout default,
 // ?timeout_ms= per-request override); cancellation is checked between
 // matrix products, so a timed-out query stops burning CPU. A timed-out
 // /search answers 504; a timed-out /batch still answers 200, delivering
 // the queries that beat the deadline and per-query errors for the rest.
+//
+// Every setting is a field of Config, documented there once;
+// DefaultConfig holds every default, New starts from it, and
+// cmd/relsim-serve binds its flags onto the same struct.
 package server
 
 import (
@@ -48,7 +52,6 @@ import (
 	"relsim/internal/admission"
 	"relsim/internal/eval"
 	"relsim/internal/graph"
-	"relsim/internal/pattern"
 	"relsim/internal/replica"
 	"relsim/internal/rre"
 	"relsim/internal/schema"
@@ -71,63 +74,33 @@ const DefaultExpandCacheLimit = 1024
 // choose ?max=.
 const DefaultLogFeedPage = 512
 
-// DefaultMaxBodyBytes bounds request bodies (WithMaxBodyBytes): an
-// unbounded /batch JSON body would be read fully into memory before any
-// validation. 4 MiB comfortably fits thousands of queries.
-const DefaultMaxBodyBytes = 4 << 20
-
-// DefaultMaxTimeout caps the per-request ?timeout_ms= override
-// (WithMaxTimeout): a client may shorten the server deadline but not
-// extend it arbitrarily — and a huge override used to overflow the
-// millisecond multiply into a negative Duration, silently disabling the
-// deadline altogether.
-const DefaultMaxTimeout = 5 * time.Minute
-
 // maxLogFeedPage is the hard ceiling on ?max=.
 const maxLogFeedPage = 10000
 
 // Server is the HTTP handler. Construct with New; the zero value is not
 // usable.
 type Server struct {
-	st      *store.Store
-	cache   *eval.Cache
-	schema  *schema.Schema
-	genOpt  pattern.Options
-	workers int
-	timeout time.Duration // default per-request deadline; 0 = none
-	gate    sparse.Thresholds
+	cfg    Config
+	st     *store.Store
+	cache  *eval.Cache
+	schema *schema.Schema
+	mux    *http.ServeMux
+	start  time.Time
 
-	// Traffic hardening (see admission.go): admCfg collects the
-	// WithAdmission* options and New compiles it into adm (nil when
-	// every mechanism is disabled — the zero-overhead path). maxBody
-	// bounds request bodies (413 past it), maxTimeout caps the
-	// ?timeout_ms= override, admWait is the queued-wait histogram
-	// handle (nil without instrumentation — a no-op sink).
-	admCfg     admission.Config
-	adm        *admission.Controller
-	maxBody    int64
-	maxTimeout time.Duration
-	admWait    *telemetry.Metric
-	plan       bool // workload-aware /batch planning + canonical cache keys
-	logFeed    bool // expose GET /log and /checkpoint (the replication surface)
-	mux        *http.ServeMux
-	start      time.Time
-
-	// replica, when set, puts the server in follower mode: the read API
-	// serves as usual from the local store, mutations answer 403
-	// pointing at the leader, and /healthz + /stats report replication
-	// lag. maxLag is the /healthz readiness bound in versions, maxLagAge
-	// the bound in wall time (each 0 = unbounded).
-	replica   Replication
-	maxLag    uint64
-	maxLagAge time.Duration
+	// Traffic hardening (see admission.go): New compiles cfg.Admission
+	// into adm (nil when every mechanism is disabled — the zero-overhead
+	// path); admWait is the queued-wait histogram handle (nil without
+	// instrumentation — a no-op sink).
+	adm     *admission.Controller
+	admWait *telemetry.Metric
 
 	// expand memoizes Algorithm-1 expansions by input pattern string.
 	// The schema and generation options are fixed for the server's
 	// lifetime, so entries never go stale — unlike commuting matrices,
 	// expansions do not depend on the graph's edges. The memo is
-	// LRU-bounded: pattern strings come straight off the wire, so an
-	// unbounded memo is a memory leak under adversarial traffic.
+	// LRU-bounded at expandLimit (DefaultExpandCacheLimit; tests lower
+	// it): pattern strings come straight off the wire, so an unbounded
+	// memo is a memory leak under adversarial traffic.
 	expandMu        sync.Mutex
 	expand          map[string]*expandEntry
 	expandLimit     int
@@ -137,19 +110,14 @@ type Server struct {
 	expandEvictions uint64
 
 	// Observability. reg is the server's telemetry registry (nil when
-	// WithInstrumentation(false)); obs holds the HTTP-layer metric
+	// cfg.Instrumentation is off); obs holds the HTTP-layer metric
 	// handles the middleware feeds. Request/error/timeout counting is
 	// status-based in the middleware — see observed in obs.go — so no
 	// handler error path can skip it.
-	instrument    bool
-	reg           *telemetry.Registry
-	obs           *serverObs
-	slow          *slowLog
-	slowThreshold time.Duration
-	pprofEnabled  bool
-	accessW       io.Writer
-	accessJSON    bool
-	accessMu      sync.Mutex
+	reg      *telemetry.Registry
+	obs      *serverObs
+	slow     *slowLog
+	accessMu sync.Mutex
 
 	// Workload-planning counters: batches planned, subexpression
 	// materializations avoided by DAG sharing, products those
@@ -160,26 +128,21 @@ type Server struct {
 	// count).
 	nPlanned, nDeduped, nProductsSaved, nUnplannable, nProducts atomic.Uint64
 
-	// Semiring-annotated serving (see annotate.go): annotate toggles the
-	// annotate=witness request parameter; the counters split annotated
-	// request traffic, annotated-kernel products (the mul hook passes nil
-	// operands for non-integer products, which is how they are told
-	// apart), and /explain's projection-vs-legacy answers.
-	annotate                        bool
+	// Semiring-annotated serving (see annotate.go): the counters split
+	// annotated request traffic, annotated-kernel products (the mul hook
+	// passes nil operands for non-integer products, which is how they are
+	// told apart), and /explain's projection-vs-legacy answers.
 	nAnnotated, nAnnotatedProducts  atomic.Uint64
 	nExplainProjected, nExplainWarm atomic.Uint64
 	nExplainLegacy                  atomic.Uint64
 
-	// Incremental cache maintenance (delta SpGEMM): when deltaMaintain
-	// is on, the commit hook patches stale cached matrices to the new
-	// version instead of evicting them; deltaMaxDensity is the per-node
-	// delta-density fallback threshold. The counters accumulate
-	// Cache.Maintain results across commits; deltaNanos is the total
-	// wall time spent maintaining, and deltaDur the latency histogram
-	// handle (nil without instrumentation — a no-op sink).
-	deltaMaintain   bool
-	deltaMaxDensity float64
-	deltaDur        *telemetry.Metric
+	// Incremental cache maintenance (delta SpGEMM): when
+	// cfg.DeltaMaintenance is on, the commit hook patches stale cached
+	// matrices to the new version instead of evicting them. The counters
+	// accumulate Cache.Maintain results across commits; deltaNanos is the
+	// total wall time spent maintaining, and deltaDur the latency
+	// histogram handle (nil without instrumentation — a no-op sink).
+	deltaDur *telemetry.Metric
 
 	nDeltaCommits, nDeltaRoots, nDeltaMaintained atomic.Uint64
 	nDeltaFallbacks, nDeltaProducts              atomic.Uint64
@@ -192,73 +155,157 @@ type Server struct {
 	testHookEval func(req *SearchRequest)
 }
 
-// Option configures a Server.
-type Option func(*Server)
+// Config is the complete set of serving settings. Each field is one
+// knob, documented once here; DefaultConfig is the only place a default
+// value is written. relsim-serve binds its flags straight onto a
+// Config and the relsim facade re-exports it as ServerConfig.
+type Config struct {
+	// Workers is the default /batch worker-pool size, used when the
+	// request does not choose one; <= 0 means DefaultWorkers.
+	Workers int
+	// CacheLimit bounds the shared commuting-matrix cache to that many
+	// matrices (LRU eviction across all versions); <= 0 leaves it
+	// unbounded.
+	CacheLimit int
+	// Timeout is the default deadline for /search and /batch
+	// evaluation. Requests may override it with ?timeout_ms=; <= 0
+	// disables the default.
+	Timeout time.Duration
+	// Parallel is the gate deciding when commuting-matrix products use
+	// the parallel SpGEMM kernel. Lower it on experiment-scale graphs so
+	// /batch materialization parallelizes.
+	Parallel sparse.Thresholds
+	// WorkloadPlanning turns on workload-aware /batch planning: the
+	// distinct pattern set of a batch is canonicalized, folded into a
+	// shared sub-pattern DAG and materialized exactly once per distinct
+	// subexpression across the worker pool, with cache entries keyed by
+	// the canonical rendering so semantically interchangeable patterns
+	// share matrices. Off restores the sequential per-pattern
+	// materialization pass with raw string keys — the
+	// ablation/differential baseline.
+	WorkloadPlanning bool
+	// DeltaMaintenance turns on incremental maintenance of the shared
+	// commuting-matrix cache: the commit hook summarizes each write
+	// batch as a signed sparse delta per touched label and patches stale
+	// cached matrices to the new version with delta-shaped products,
+	// instead of evicting them to be recomputed from scratch on the next
+	// read. Off restores the pure evict-on-write lifecycle — the
+	// ablation baseline for the delta benchmark. Either way results are
+	// identical: maintained matrices are byte-for-byte the ones a
+	// recompute would produce.
+	DeltaMaintenance bool
+	// DeltaMaxDensity is the density threshold at which incremental
+	// maintenance of a pattern gives up and falls back to eviction: if
+	// the delta at any expression node exceeds f·n² nonzeros, the
+	// distributive expansion costs as much as recomputation. <= 0 means
+	// eval.DefaultMaxDeltaDensity.
+	DeltaMaxDensity float64
+	// Annotation turns on semiring-annotated evaluation: the
+	// annotate=witness parameter on /search, /batch and /explain. Off
+	// rejects annotated requests with code "annotation_disabled" — the
+	// operator's lever when the annotated twin matrices must not compete
+	// for cache space.
+	Annotation bool
+	// Durability exposes the durability surface: the GET /log
+	// replication feed, the GET /checkpoint bootstrap transfer, and the
+	// durability section of /stats. Turn it off when the replication
+	// surface must not be reachable through this listener. The feed
+	// works for in-memory stores too (it serves the bounded update log,
+	// and /checkpoint serializes the live snapshot); with a durable
+	// store (store.Open) /log is additionally backed by the WAL, so a
+	// follower can catch up past the in-memory retention window.
+	Durability bool
+	// Instrumentation turns on the telemetry layer as a whole: the
+	// /metrics registry, the per-request middleware (request ids,
+	// Server-Timing, per-endpoint counters and latency histograms), and
+	// the store/WAL/replica instrumentation. Off is the measured
+	// baseline for the instrumentation-overhead benchmark; an
+	// uninstrumented server reports zero request counters in /stats.
+	Instrumentation bool
+	// SlowQuery enables the slow-query log: requests slower than it are
+	// captured — pattern, plan stats, cache behavior, phase timings —
+	// into a bounded ring served at GET /debug/queries. <= 0 disables
+	// capture. Requires Instrumentation.
+	SlowQuery time.Duration
+	// Pprof mounts net/http/pprof under /debug/pprof/ (profiles expose
+	// memory contents, so the surface is opt-in).
+	Pprof bool
+	// AccessLog, when set, receives one structured line per request —
+	// JSON when AccessLogJSON, a stable text form otherwise. Each line
+	// carries the request id, endpoint, status, duration, and per-phase
+	// breakdown. Writes are serialized; the writer need not be safe for
+	// concurrent use. Requires Instrumentation.
+	AccessLog     io.Writer
+	AccessLogJSON bool
+	// Follower, when set, puts the server in follower (read-replica)
+	// mode: mutations are rejected with 403 naming the leader, /healthz
+	// reports role "follower" and turns unready (503) while replication
+	// lag exceeds MaxLag versions or MaxLagAge of wall time (each 0 =
+	// unbounded), and /stats grows a replication section. The two bounds
+	// cover different failures: the version bound catches a follower
+	// that cannot keep up with a live leader, while the time bound
+	// catches an unreachable leader — lag-in-versions freezes at the
+	// last successful poll, but lag-in-seconds keeps growing, so a
+	// partitioned replica drops out of rotation instead of serving
+	// arbitrarily stale reads as "ok". The read API — /search, /batch,
+	// /explain, /stats, and the replication surface for chained
+	// followers — serves from the local store as usual.
+	Follower  Replication
+	MaxLag    uint64
+	MaxLagAge time.Duration
+	// MaxBodyBytes bounds request bodies; larger bodies answer 413 at
+	// decode time instead of being read fully into memory before any
+	// validation. <= 0 removes the bound.
+	MaxBodyBytes int64
+	// MaxTimeout caps the per-request ?timeout_ms= override: larger
+	// values are clamped to it, so a client can shorten the server
+	// deadline but never extend it past the operator's ceiling. <= 0
+	// removes the cap.
+	MaxTimeout time.Duration
+	// Admission configures traffic hardening (see admission.go):
+	// concurrency-gated admission with a bounded wait queue, per-client
+	// token-bucket rate limiting with per-tenant overrides, and the
+	// per-request cost ceiling. The zero value disables every mechanism.
+	Admission admission.Config
+}
 
-// WithWorkers sets the default /batch worker-pool size.
-func WithWorkers(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.workers = n
-		}
+// DefaultConfig returns the server's defaults: telemetry, workload
+// planning, delta maintenance, annotation and the durability surface
+// on; admission, slow-query capture, pprof and the access log off; no
+// evaluation deadline and an unbounded matrix cache.
+func DefaultConfig() Config {
+	return Config{
+		Workers:          DefaultWorkers,
+		Parallel:         sparse.DefaultThresholds(),
+		WorkloadPlanning: true,
+		DeltaMaintenance: true,
+		DeltaMaxDensity:  eval.DefaultMaxDeltaDensity,
+		Annotation:       true,
+		Durability:       true,
+		Instrumentation:  true,
+		MaxBodyBytes:     4 << 20, // fits thousands of /batch queries
+		MaxTimeout:       5 * time.Minute,
 	}
 }
 
-// WithCacheLimit bounds the shared commuting-matrix cache to n matrices
-// (LRU eviction across all versions). n <= 0 leaves it unbounded.
-func WithCacheLimit(n int) Option {
-	return func(s *Server) { s.cache.SetLimit(n) }
-}
+// Option adjusts the Config New starts from (DefaultConfig). To pass a
+// whole Config, use func(c *Config) { *c = cfg }.
+type Option func(*Config)
 
-// WithTimeout sets the default deadline for /search and /batch
-// evaluation. Requests may override it with ?timeout_ms=. d <= 0
-// disables the default (the zero value).
-func WithTimeout(d time.Duration) Option {
-	return func(s *Server) { s.timeout = d }
-}
+// WithTimeout, WithSlowQuery and WithAccessLog exist only so the
+// benchmark module (relbench), which builds its servers with them,
+// compiles; everything else sets Config fields directly, and the next
+// change to the benchmark removes them.
 
-// WithParallelThresholds sets the gate deciding when commuting-matrix
-// products use the parallel SpGEMM kernel. Lower it on experiment-scale
-// graphs so /batch materialization parallelizes.
-func WithParallelThresholds(t sparse.Thresholds) Option {
-	return func(s *Server) { s.gate = t }
-}
+// WithTimeout sets Config.Timeout.
+func WithTimeout(d time.Duration) Option { return func(c *Config) { c.Timeout = d } }
 
-// WithWorkloadPlanning toggles workload-aware /batch planning (default
-// on): the distinct pattern set of a batch is canonicalized, folded
-// into a shared sub-pattern DAG and materialized exactly once per
-// distinct subexpression across the worker pool, with cache entries
-// keyed by the canonical rendering so semantically interchangeable
-// patterns share matrices. Off restores the sequential per-pattern
-// materialization pass with raw string keys — the ablation/differential
-// baseline.
-func WithWorkloadPlanning(on bool) Option {
-	return func(s *Server) { s.plan = on }
-}
+// WithSlowQuery sets Config.SlowQuery.
+func WithSlowQuery(d time.Duration) Option { return func(c *Config) { c.SlowQuery = d } }
 
-// WithGenOptions overrides the Algorithm-1 expansion options used by the
-// structurally robust search pipeline.
-func WithGenOptions(opt pattern.Options) Option {
-	return func(s *Server) { s.genOpt = opt }
-}
-
-// WithExpandCacheLimit bounds the Algorithm-1 expansion memo to n
-// entries with LRU eviction (default DefaultExpandCacheLimit). n <= 0
-// removes the bound — only safe when the pattern vocabulary is trusted.
-func WithExpandCacheLimit(n int) Option {
-	return func(s *Server) { s.expandLimit = n }
-}
-
-// WithDurability toggles the durability surface: the GET /log
-// replication feed, the GET /checkpoint bootstrap transfer, and the
-// durability section of /stats. Default on; turn it off when the
-// replication surface must not be reachable through this listener. The
-// feed works for in-memory stores too (it serves the bounded update
-// log, and /checkpoint serializes the live snapshot); with a durable
-// store (store.Open) /log is additionally backed by the WAL, so a
-// follower can catch up past the in-memory retention window.
-func WithDurability(on bool) Option {
-	return func(s *Server) { s.logFeed = on }
+// WithAccessLog sets Config.AccessLog and Config.AccessLogJSON.
+func WithAccessLog(w io.Writer, jsonFormat bool) Option {
+	return func(c *Config) { c.AccessLog, c.AccessLogJSON = w, jsonFormat }
 }
 
 // Replication is the view the server needs of a replication tailer —
@@ -272,133 +319,45 @@ type Replication interface {
 	Leader() string
 }
 
-// WithFollower puts the server in follower (read-replica) mode, backed
-// by rep: mutations are rejected with 403 naming the leader, /healthz
-// reports role "follower" and turns unready (503) while replication
-// lag exceeds maxLag versions or maxLagAge of wall time (each 0 =
-// unbounded), and /stats grows a replication section. The two bounds
-// cover different failures: the version bound catches a follower that
-// cannot keep up with a live leader, while the time bound catches an
-// unreachable leader — lag-in-versions freezes at the last successful
-// poll, but lag-in-seconds keeps growing, so a partitioned replica
-// drops out of rotation instead of serving arbitrarily stale reads as
-// "ok". The read API — /search, /batch, /explain, /stats, and the
-// replication surface for chained followers — serves from the local
-// store as usual.
-func WithFollower(rep Replication, maxLag uint64, maxLagAge time.Duration) Option {
-	return func(s *Server) {
-		s.replica = rep
-		s.maxLag = maxLag
-		s.maxLagAge = maxLagAge
-	}
-}
-
-// WithInstrumentation toggles the telemetry layer as a whole (default
-// on): the /metrics registry, the per-request middleware (request ids,
-// Server-Timing, per-endpoint counters and latency histograms), and the
-// store/WAL/replica instrumentation. Off is the measured baseline for
-// the instrumentation-overhead benchmark; an uninstrumented server
-// reports zero request counters in /stats.
-func WithInstrumentation(on bool) Option {
-	return func(s *Server) { s.instrument = on }
-}
-
-// WithSlowQuery enables the slow-query log: requests slower than d are
-// captured — pattern, plan stats, cache behavior, phase timings — into
-// a bounded ring served at GET /debug/queries. d <= 0 disables capture
-// (the default). Requires instrumentation.
-func WithSlowQuery(d time.Duration) Option {
-	return func(s *Server) { s.slowThreshold = d }
-}
-
-// WithPprof mounts net/http/pprof under /debug/pprof/ (default off:
-// profiles expose memory contents, so the surface is opt-in).
-func WithPprof(on bool) Option {
-	return func(s *Server) { s.pprofEnabled = on }
-}
-
-// WithAccessLog emits one structured line per request to w — JSON when
-// jsonFormat, a stable text form otherwise. Each line carries the
-// request id, endpoint, status, duration, and per-phase breakdown.
-// Writes are serialized; w need not be safe for concurrent use.
-// Requires instrumentation.
-func WithAccessLog(w io.Writer, jsonFormat bool) Option {
-	return func(s *Server) {
-		s.accessW = w
-		s.accessJSON = jsonFormat
-	}
-}
-
-// WithDeltaMaintenance toggles incremental maintenance of the shared
-// commuting-matrix cache (default on): the commit hook summarizes each
-// write batch as a signed sparse delta per touched label and patches
-// stale cached matrices to the new version with delta-shaped products,
-// instead of evicting them to be recomputed from scratch on the next
-// read. Off restores the pure evict-on-write lifecycle — the ablation
-// baseline for the delta benchmark. Either way results are identical:
-// maintained matrices are byte-for-byte the ones a recompute would
-// produce.
-func WithDeltaMaintenance(on bool) Option {
-	return func(s *Server) { s.deltaMaintain = on }
-}
-
-// WithDeltaMaxDensity sets the density threshold at which incremental
-// maintenance of a pattern gives up and falls back to eviction: if the
-// delta at any expression node exceeds f·n² nonzeros, the distributive
-// expansion costs as much as recomputation. f <= 0 restores the
-// default (eval.DefaultMaxDeltaDensity).
-func WithDeltaMaxDensity(f float64) Option {
-	return func(s *Server) {
-		if f > 0 {
-			s.deltaMaxDensity = f
-		} else {
-			s.deltaMaxDensity = eval.DefaultMaxDeltaDensity
-		}
-	}
-}
-
 // expandEntry is one memoized Algorithm-1 expansion with its LRU tick.
 type expandEntry struct {
 	ps   []*rre.Pattern
 	used uint64
 }
 
-// New builds a server over st. sc may be nil; the schema then has no
-// constraints and simple patterns are scored without expansion (the
-// label set is taken from the graph at construction time). The server
-// registers itself as the store's update observer so committed writes
-// age the versioned cache (carry untouched patterns forward, evict the
-// rest).
+// New builds a server over st from DefaultConfig with opts applied.
+// sc may be nil; the schema then has no constraints and simple patterns
+// are scored without expansion (the label set is taken from the graph
+// at construction time). The server registers itself as the store's
+// update observer so committed writes age the versioned cache (carry
+// untouched patterns forward, evict the rest).
 func New(st *store.Store, sc *schema.Schema, opts ...Option) *Server {
+	cfg := DefaultConfig()
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = DefaultWorkers
+	}
+	if cfg.DeltaMaxDensity <= 0 {
+		cfg.DeltaMaxDensity = eval.DefaultMaxDeltaDensity
+	}
 	if sc == nil {
 		snap, _ := st.Snapshot()
 		sc = schema.New(snap.Labels())
 	}
 	s := &Server{
+		cfg:         cfg,
 		st:          st,
 		cache:       eval.NewCache(),
 		schema:      sc,
-		genOpt:      pattern.Default(),
-		workers:     DefaultWorkers,
-		gate:        sparse.DefaultThresholds(),
-		plan:        true,
-		logFeed:     true,
 		mux:         http.NewServeMux(),
 		start:       time.Now(),
 		expand:      make(map[string]*expandEntry),
 		expandLimit: DefaultExpandCacheLimit,
-		instrument:  true,
-		maxBody:     DefaultMaxBodyBytes,
-		maxTimeout:  DefaultMaxTimeout,
-		annotate:    true,
-
-		deltaMaintain:   true,
-		deltaMaxDensity: eval.DefaultMaxDeltaDensity,
 	}
-	for _, o := range opts {
-		o(s)
-	}
-	s.adm = admission.New(s.admCfg)
+	s.cache.SetLimit(cfg.CacheLimit)
+	s.adm = admission.New(cfg.Admission)
 	st.OnUpdate(s.ageCache)
 	s.mux.HandleFunc("POST /search", s.handleSearch)
 	s.mux.HandleFunc("POST /batch", s.handleBatch)
@@ -406,11 +365,11 @@ func New(st *store.Store, sc *schema.Schema, opts ...Option) *Server {
 	s.mux.HandleFunc("POST /graph/edges", s.handleMutate)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
-	if s.logFeed {
+	if s.cfg.Durability {
 		s.mux.HandleFunc("GET /log", s.handleLog)
 		s.mux.HandleFunc("GET /checkpoint", s.handleCheckpoint)
 	}
-	if s.instrument {
+	if s.cfg.Instrumentation {
 		s.reg = telemetry.NewRegistry()
 		s.obs = newServerObs(s.reg)
 		s.instrumentEngine(s.reg)
@@ -420,16 +379,16 @@ func New(st *store.Store, sc *schema.Schema, opts ...Option) *Server {
 		// A replication tailer that can describe itself (the concrete
 		// *replica.Follower does) joins the registry; test fakes that
 		// cannot simply stay out of /metrics.
-		if in, ok := s.replica.(interface{ Instrument(*telemetry.Registry) }); ok {
+		if in, ok := s.cfg.Follower.(interface{ Instrument(*telemetry.Registry) }); ok {
 			in.Instrument(s.reg)
 		}
 		s.mux.Handle("GET /metrics", s.reg.Handler())
-		if s.slowThreshold > 0 {
+		if s.cfg.SlowQuery > 0 {
 			s.slow = newSlowLog()
 		}
 	}
 	s.mux.HandleFunc("GET /debug/queries", s.handleSlowQueries)
-	if s.pprofEnabled {
+	if s.cfg.Pprof {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
@@ -470,8 +429,8 @@ func (s *Server) Store() *store.Store { return s.st }
 // counter through the mul hook.
 func (s *Server) evaluator(snap *graph.Snapshot, version uint64) *eval.Evaluator {
 	ev := eval.NewVersioned(snap, version, s.cache)
-	ev.SetParallelThresholds(s.gate)
-	ev.SetCanonicalKeys(s.plan)
+	ev.SetParallelThresholds(s.cfg.Parallel)
+	ev.SetCanonicalKeys(s.cfg.WorkloadPlanning)
 	// Annotated (non-integer) products fire the hook with nil operands —
 	// the discriminator the semiring counters rely on.
 	ev.SetMulHook(func(a, _ *sparse.Matrix) {
@@ -502,7 +461,7 @@ func (s *Server) ageCache(updates []store.Update) {
 	ls := d.Labels()
 	nodesChanged := d.NodesAdded > 0
 	oldestPinned := s.st.OldestPinned()
-	if s.deltaMaintain && (len(ls) > 0 || nodesChanged) {
+	if s.cfg.DeltaMaintenance && (len(ls) > 0 || nodesChanged) {
 		if snap, ver := s.st.Snapshot(); ver == d.To {
 			start := time.Now()
 			n := snap.NumNodes()
@@ -512,7 +471,7 @@ func (s *Server) ageCache(updates []store.Update) {
 				OldN:   n - d.NodesAdded,
 				NewN:   n,
 				Labels: d.LabelDeltas(n),
-			}, eval.MaintainOptions{MaxDensity: s.deltaMaxDensity, Gate: s.gate})
+			}, eval.MaintainOptions{MaxDensity: s.cfg.DeltaMaxDensity, Gate: s.cfg.Parallel})
 			elapsed := time.Since(start)
 			s.nDeltaCommits.Add(1)
 			s.nDeltaRoots.Add(uint64(res.Roots))
@@ -535,11 +494,11 @@ func (s *Server) ageCache(updates []store.Update) {
 // timeout, overridden by a positive ?timeout_ms= query parameter.
 // Zero, negative, non-numeric and integer-overflowing overrides are a
 // 400 (they used to be partially silent); values past the server's
-// maxTimeout ceiling are clamped — a huge override used to overflow the
+// MaxTimeout ceiling are clamped — a huge override used to overflow the
 // millisecond multiply into a negative Duration and silently disable
 // the deadline altogether.
 func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	d := s.timeout
+	d := s.cfg.Timeout
 	if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
 		ms, err := strconv.Atoi(raw)
 		if err != nil || ms <= 0 {
@@ -553,8 +512,8 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 		} else {
 			d = time.Duration(ms) * time.Millisecond
 		}
-		if s.maxTimeout > 0 && d > s.maxTimeout {
-			d = s.maxTimeout
+		if s.cfg.MaxTimeout > 0 && d > s.cfg.MaxTimeout {
+			d = s.cfg.MaxTimeout
 		}
 	}
 	if d <= 0 {
@@ -607,16 +566,16 @@ type HealthzResponse struct {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := HealthzResponse{Status: "ok", Role: "leader", Version: s.st.Version()}
 	status := http.StatusOK
-	if s.replica != nil {
-		rs := s.replica.Status()
+	if s.cfg.Follower != nil {
+		rs := s.cfg.Follower.Status()
 		resp.Role = "follower"
 		resp.Replication = &rs
 		switch {
 		case !rs.SyncedOnce:
 			resp.Status = "syncing"
 			status = http.StatusServiceUnavailable
-		case s.maxLag > 0 && rs.LagVersions > s.maxLag,
-			s.maxLagAge > 0 && rs.LagSeconds > s.maxLagAge.Seconds():
+		case s.cfg.MaxLag > 0 && rs.LagVersions > s.cfg.MaxLag,
+			s.cfg.MaxLagAge > 0 && rs.LagSeconds > s.cfg.MaxLagAge.Seconds():
 			resp.Status = "lagging"
 			status = http.StatusServiceUnavailable
 		}
@@ -696,14 +655,14 @@ func (s *Server) Stats() StatsResponse {
 	}
 	s.expandMu.Unlock()
 	// The durability section (including the on-disk directory path) is
-	// part of the surface WithDurability(false) withholds.
+	// part of the surface Config.Durability off withholds.
 	var dur store.DurabilityStats
-	if s.logFeed {
+	if s.cfg.Durability {
 		dur = s.st.DurabilityStats()
 	}
 	var repl *replica.Status
-	if s.replica != nil {
-		rs := s.replica.Status()
+	if s.cfg.Follower != nil {
+		rs := s.cfg.Follower.Status()
 		repl = &rs
 	}
 	return StatsResponse{
@@ -712,7 +671,7 @@ func (s *Server) Stats() StatsResponse {
 		Cache:         s.cache.Stats(),
 		CacheVersions: s.cache.VersionOccupancy(),
 		Workload: WorkloadStats{
-			Enabled:              s.plan,
+			Enabled:              s.cfg.WorkloadPlanning,
 			PlannedBatches:       s.nPlanned.Load(),
 			SubpatternsDeduped:   s.nDeduped.Load(),
 			ProductsSaved:        s.nProductsSaved.Load(),
@@ -733,8 +692,8 @@ func (s *Server) Stats() StatsResponse {
 // deltaStats snapshots the incremental-maintenance counters.
 func (s *Server) deltaStats() DeltaStats {
 	return DeltaStats{
-		Enabled:            s.deltaMaintain,
-		MaxDensity:         s.deltaMaxDensity,
+		Enabled:            s.cfg.DeltaMaintenance,
+		MaxDensity:         s.cfg.DeltaMaxDensity,
 		Commits:            s.nDeltaCommits.Load(),
 		Roots:              s.nDeltaRoots.Load(),
 		Maintained:         s.nDeltaMaintained.Load(),

@@ -78,7 +78,7 @@ func (s *Server) handleSlowQueries(w http.ResponseWriter, r *http.Request) {
 		Dropped     uint64           `json:"dropped"`
 		Entries     []SlowQueryEntry `json:"entries"`
 	}{
-		ThresholdMS: float64(s.slowThreshold) / float64(time.Millisecond),
+		ThresholdMS: float64(s.cfg.SlowQuery) / float64(time.Millisecond),
 		Capacity:    slowLogCapacity,
 		Entries:     []SlowQueryEntry{},
 	}

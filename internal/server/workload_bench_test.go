@@ -73,7 +73,7 @@ func runWorkloadCold(tb testing.TB, plan bool, req BatchRequest) (uint64, Worklo
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv := New(store.New(ds.Graph), ds.Schema, WithWorkloadPlanning(plan))
+	srv := New(store.New(ds.Graph), ds.Schema, func(c *Config) { c.WorkloadPlanning = plan })
 	code, body := doJSON(tb, srv, "/batch", req)
 	if code != http.StatusOK {
 		tb.Fatalf("plan=%v: status %d (%s)", plan, code, body)
@@ -148,7 +148,7 @@ func BenchmarkBatchWorkload(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			srv := New(store.New(ds.Graph), ds.Schema, WithWorkloadPlanning(mode.plan))
+			srv := New(store.New(ds.Graph), ds.Schema, func(c *Config) { c.WorkloadPlanning = mode.plan })
 			doJSON(b, srv, "/batch", req) // warm
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

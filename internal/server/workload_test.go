@@ -92,7 +92,7 @@ func randWorkload(rng *rand.Rand) BatchRequest {
 // ordering, errors, versions — is a planner bug.
 func TestBatchPlanDifferential(t *testing.T) {
 	planned := New(store.New(testGraph()), nil)
-	naive := New(store.New(testGraph()), nil, WithWorkloadPlanning(false))
+	naive := New(store.New(testGraph()), nil, func(c *Config) { c.WorkloadPlanning = false })
 
 	// Directed adversarial workload first: disjunction branches that
 	// collapse only after canonicalization change counts if the planner

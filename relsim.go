@@ -27,9 +27,9 @@ package relsim
 
 import (
 	"fmt"
-	"io"
 	"time"
 
+	"relsim/internal/admission"
 	"relsim/internal/eval"
 	"relsim/internal/graph"
 	"relsim/internal/mapping"
@@ -106,8 +106,13 @@ type (
 	ReplicationStatus = replica.Status
 	// Server is the HTTP/JSON query service over a Store.
 	Server = server.Server
-	// ServerOption configures NewServer.
-	ServerOption = server.Option
+	// ServerConfig is the complete set of serving settings NewServer
+	// takes, one documented field per knob; start from
+	// DefaultServerConfig.
+	ServerConfig = server.Config
+	// AdmissionRateLimit is one token-bucket setting, the value type of
+	// ServerConfig.Admission.Overrides (per-tenant rate limits).
+	AdmissionRateLimit = admission.RateLimit
 	// CacheStats is a snapshot of an engine's commuting-matrix cache.
 	CacheStats = eval.CacheStats
 	// ParallelThresholds gates the parallel SpGEMM kernel.
@@ -172,170 +177,24 @@ func WithStoreLogRetention(n int) StoreOpenOption { return store.WithLogRetentio
 // NewFollower builds a replication tailer that follows the leader
 // relsim-serve instance at leaderURL into st: Start performs the
 // initial checkpoint bootstrap + catch-up, Run keeps tailing, and a
-// feed gap triggers an automatic re-bootstrap. Pair it with
-// WithServerFollower to serve the replica read-only.
+// feed gap triggers an automatic re-bootstrap. Set it as
+// ServerConfig.Follower to serve the replica read-only.
 func NewFollower(st *Store, leaderURL string, opt FollowerOptions) *Follower {
 	return replica.New(st, leaderURL, opt)
 }
 
-// WithServerFollower puts the server in read-replica mode backed by f:
-// mutations answer 403 naming the leader, /healthz reports the
-// follower role and turns 503 while lag exceeds maxLag versions or
-// maxLagAge of wall time (each 0 = unbounded; the time bound is what
-// catches an unreachable leader, whose version lag freezes at the last
-// successful poll), and /stats grows a replication section.
-func WithServerFollower(f *Follower, maxLag uint64, maxLagAge time.Duration) ServerOption {
-	return server.WithFollower(f, maxLag, maxLagAge)
-}
+// DefaultServerConfig returns the server's defaults: telemetry,
+// workload planning, delta maintenance, annotation and the durability
+// surface on; admission, slow-query capture, pprof and the access log
+// off; no evaluation deadline and an unbounded matrix cache.
+func DefaultServerConfig() ServerConfig { return server.DefaultConfig() }
 
-// NewServer builds the HTTP/JSON query service over st. The schema may
-// be nil (no Algorithm-1 expansion constraints). Mount the result on any
-// http.Server; see cmd/relsim-serve for a ready-made binary.
-func NewServer(st *Store, s *Schema, opts ...ServerOption) *Server {
-	return server.New(st, s, opts...)
-}
-
-// WithServerWorkers sets the default /batch worker-pool size.
-func WithServerWorkers(n int) ServerOption { return server.WithWorkers(n) }
-
-// WithServerCacheLimit bounds the server's versioned commuting-matrix
-// cache to n matrices with LRU eviction across all graph versions.
-func WithServerCacheLimit(n int) ServerOption { return server.WithCacheLimit(n) }
-
-// WithServerTimeout sets the default /search and /batch evaluation
-// deadline (override per request with ?timeout_ms=).
-func WithServerTimeout(d time.Duration) ServerOption { return server.WithTimeout(d) }
-
-// WithServerParallelThresholds sets the parallel SpGEMM gate used by
-// the server's evaluators.
-func WithServerParallelThresholds(t ParallelThresholds) ServerOption {
-	return server.WithParallelThresholds(t)
-}
-
-// WithServerWorkloadPlanning toggles workload-aware /batch planning
-// (default on): canonicalize the batch's patterns, fold them into a
-// shared sub-pattern DAG and materialize every distinct subexpression
-// exactly once across the worker pool.
-func WithServerWorkloadPlanning(on bool) ServerOption {
-	return server.WithWorkloadPlanning(on)
-}
-
-// WithServerDeltaMaintenance toggles incremental maintenance of the
-// server's commuting-matrix cache (default on): each committed write
-// batch is summarized as a signed sparse delta per touched label, and
-// stale cached matrices are patched to the new version with
-// delta-shaped products instead of being evicted and recomputed on the
-// next read. Results are identical either way; off is the
-// evict-on-write ablation baseline.
-func WithServerDeltaMaintenance(on bool) ServerOption {
-	return server.WithDeltaMaintenance(on)
-}
-
-// WithServerDeltaMaxDensity sets the delta-density threshold (nonzeros
-// as a fraction of n²) above which maintenance of a pattern falls back
-// to evict-and-recompute. f <= 0 restores the default.
-func WithServerDeltaMaxDensity(f float64) ServerOption {
-	return server.WithDeltaMaxDensity(f)
-}
-
-// WithServerAnnotation toggles semiring-annotated evaluation (default
-// on): the annotate=witness parameter on /search, /batch and /explain,
-// which attaches instance counts and a bounded witness-derivation
-// prefix to each answer and turns a warm /explain into a pure
-// projection of the cached annotation. Off rejects annotated requests.
-func WithServerAnnotation(on bool) ServerOption {
-	return server.WithAnnotation(on)
-}
-
-// WithServerDurability toggles the server's durability surface (default
-// on): the GET /log replication catch-up feed and the durability
-// section of /stats. Turn it off when the update feed must not be
-// reachable through a public listener.
-func WithServerDurability(on bool) ServerOption {
-	return server.WithDurability(on)
-}
-
-// WithServerExpandCacheLimit bounds the Algorithm-1 expansion memo to n
-// entries with LRU eviction.
-func WithServerExpandCacheLimit(n int) ServerOption {
-	return server.WithExpandCacheLimit(n)
-}
-
-// WithServerInstrumentation toggles the telemetry layer (default on):
-// the GET /metrics Prometheus exposition, per-request ids and
-// Server-Timing headers, and the per-endpoint counters and latency
-// histograms behind /stats.
-func WithServerInstrumentation(on bool) ServerOption {
-	return server.WithInstrumentation(on)
-}
-
-// WithServerSlowQuery captures requests slower than d — pattern, plan
-// stats, cache behavior, phase timings — into a bounded ring served at
-// GET /debug/queries. d <= 0 disables capture (the default).
-func WithServerSlowQuery(d time.Duration) ServerOption {
-	return server.WithSlowQuery(d)
-}
-
-// WithServerPprof mounts net/http/pprof under /debug/pprof/ (default
-// off: profiles expose process memory, so the surface is opt-in).
-func WithServerPprof(on bool) ServerOption { return server.WithPprof(on) }
-
-// WithServerAccessLog emits one structured line per request to w (JSON
-// when jsonFormat, text otherwise): request id, endpoint, status,
-// duration, and per-phase breakdown.
-func WithServerAccessLog(w io.Writer, jsonFormat bool) ServerOption {
-	return server.WithAccessLog(w, jsonFormat)
-}
-
-// WithServerAdmissionLimits enables concurrency-gated admission: at
-// most maxInFlight evaluation/mutation requests run concurrently, up to
-// queueDepth more wait in a bounded queue, and the rest are shed with
-// 503 + Retry-After before any snapshot is pinned or body decoded.
-// maxInFlight <= 0 disables the gate.
-func WithServerAdmissionLimits(maxInFlight, queueDepth int) ServerOption {
-	return server.WithAdmissionLimits(maxInFlight, queueDepth)
-}
-
-// WithServerAdmissionQueueWait bounds how long one queued request waits
-// for admission capacity before it is shed.
-func WithServerAdmissionQueueWait(d time.Duration) ServerOption {
-	return server.WithAdmissionQueueWait(d)
-}
-
-// WithServerAdmissionRate enables per-client token-bucket rate
-// limiting — rate sustained requests/second with burst capacity above
-// it, keyed by the X-Relsim-Api-Key header (falling back to the remote
-// address). Drained buckets answer 429 + Retry-After. rate <= 0
-// disables the default bucket.
-func WithServerAdmissionRate(rate float64, burst int) ServerOption {
-	return server.WithAdmissionRate(rate, burst)
-}
-
-// WithServerAdmissionTenantRate overrides the token bucket for one
-// client key (rate <= 0 makes that tenant unlimited). May be repeated.
-func WithServerAdmissionTenantRate(key string, rate float64, burst int) ServerOption {
-	return server.WithAdmissionTenantRate(key, rate, burst)
-}
-
-// WithServerAdmissionMaxCost sets the per-request cost ceiling in
-// estimated matrix products (the workload plan's schedule length):
-// requests whose pattern set would cost more answer 422 before any
-// materialization starts. n <= 0 disables the ceiling.
-func WithServerAdmissionMaxCost(n int) ServerOption {
-	return server.WithAdmissionMaxCost(n)
-}
-
-// WithServerMaxBodyBytes bounds request bodies; larger bodies answer
-// 413 at decode time. n <= 0 removes the bound.
-func WithServerMaxBodyBytes(n int64) ServerOption {
-	return server.WithMaxBodyBytes(n)
-}
-
-// WithServerMaxTimeout caps the per-request ?timeout_ms= override:
-// clients can shorten the server deadline but never extend it past the
-// operator's ceiling. d <= 0 removes the cap.
-func WithServerMaxTimeout(d time.Duration) ServerOption {
-	return server.WithMaxTimeout(d)
+// NewServer builds the HTTP/JSON query service over st with cfg
+// (typically DefaultServerConfig with some fields changed). The schema
+// may be nil (no Algorithm-1 expansion constraints). Mount the result
+// on any http.Server; see cmd/relsim-serve for a ready-made binary.
+func NewServer(st *Store, s *Schema, cfg ServerConfig) *Server {
+	return server.New(st, s, func(c *server.Config) { *c = cfg })
 }
 
 // CanonicalPattern returns the canonical form of p: associativity

@@ -404,9 +404,11 @@ func TestOpenStoreFacade(t *testing.T) {
 	if feed.Gap || len(feed.Updates) != 2 {
 		t.Fatalf("feed = %+v", feed)
 	}
-	// The server option compiles and wires: a durability-off server is
+	// The server config compiles and wires: a durability-off server is
 	// constructible over a durable store.
-	if srv := NewServer(st2, nil, WithServerDurability(false), WithServerExpandCacheLimit(16)); srv == nil {
+	cfg := DefaultServerConfig()
+	cfg.Durability = false
+	if srv := NewServer(st2, nil, cfg); srv == nil {
 		t.Fatal("NewServer returned nil")
 	}
 }
