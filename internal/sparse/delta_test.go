@@ -156,12 +156,12 @@ func TestMulFewRowsMatchesSerial(t *testing.T) {
 		}
 		d := New(n, ts)
 		b := randomMatrix(rng, n, 4*n)
-		want := d.mulSerial(b)
+		want := d.mulWorkers(b, 1)
 		if got := d.mulFewRows(b); !got.Equal(want) {
-			t.Fatalf("iter %d: mulFewRows != mulSerial", iter)
+			t.Fatalf("iter %d: mulFewRows != 1-worker gMul", iter)
 		}
 		if got := d.Mul(b); !got.Equal(want) {
-			t.Fatalf("iter %d: Mul (gated) != mulSerial", iter)
+			t.Fatalf("iter %d: Mul (gated) != 1-worker gMul", iter)
 		}
 	}
 }
@@ -191,7 +191,7 @@ func BenchmarkMulDeltaShaped(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			delta.mulSerial(big)
+			delta.mulWorkers(big, 1)
 		}
 	})
 }

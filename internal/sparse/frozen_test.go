@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -250,6 +251,107 @@ func TestGenericIntKernelByteIdenticalToFrozen(t *testing.T) {
 		byteIdentical(t, "parallel-mul",
 			b.MulThresh(b, Thresholds{MinDim: 0, MinNNZ: 0}), fb.mul(fb))
 	}
+
+	// Signed products whose rows touch at least n/16 columns take the
+	// dense-scan emit, and their cancelling rows leave gaps that the
+	// compaction must close; check every worker count.
+	for iter := 0; iter < 20; iter++ {
+		a, b := randCancellingDense(rng, 300+rng.Intn(300))
+		fa, fb := frozenFrom(a), frozenFrom(b)
+		want := fa.mul(fb)
+		for _, w := range []int{1, 2, 3, 8} {
+			byteIdentical(t, "dense-mul", a.mulWorkers(b, w), want)
+		}
+		byteIdentical(t, "dense-mul-gated", a.Mul(b), want)
+	}
+}
+
+// randCancellingDense returns signed operands whose product has dense
+// rows (touching at least n/16 columns) and cancellation: b repeats a
+// block of rows, mostly verbatim, and a pairs each row with its copy
+// under opposite signs, so entries of a·b cancel, whole rows included.
+func randCancellingDense(rng *rand.Rand, n int) (a, b *Matrix) {
+	half := n / 2
+	var ta, tb []Triple
+	for k := 0; k < half; k++ {
+		for i := 0; i < n/12; i++ {
+			c, v := rng.Intn(n), rng.Int63n(5)-2
+			if v == 0 {
+				v = 1
+			}
+			w := v // most copies match, so their pairs cancel exactly
+			if rng.Intn(4) == 0 {
+				w++
+			}
+			tb = append(tb, Triple{Row: k, Col: c, Val: v}, Triple{Row: k + half, Col: c, Val: w})
+		}
+	}
+	for r := 0; r < n; r++ {
+		for i := 0; i < 2; i++ {
+			k, v := rng.Intn(half), rng.Int63n(3)+1
+			ta = append(ta, Triple{Row: r, Col: k, Val: v}, Triple{Row: r, Col: k + half, Val: -v})
+		}
+		if r%3 == 0 { // a leftover term keeps the row from cancelling in full
+			ta = append(ta, Triple{Row: r, Col: rng.Intn(n), Val: 1})
+		}
+	}
+	return New(n, ta), New(n, tb)
+}
+
+// TestMulDenseCancellingBranches pins that the randCancellingDense
+// inputs above really reach the dense emit and the compaction, and
+// that the compacted product keeps no spare capacity.
+func TestMulDenseCancellingBranches(t *testing.T) {
+	a, b := randCancellingDense(rand.New(rand.NewSource(7)), 400)
+	ga, gb := a.gm(), b.gm()
+	mark := make([]int32, ga.n)
+	dense, bound := 0, 0
+	for r := 0; r < ga.n; r++ {
+		c := int(gMulRowBound(ga, gb, r, mark))
+		bound += c
+		if c >= ga.n/denseRowDivisor {
+			dense++
+		}
+	}
+	p := a.mulWorkers(b, 2)
+	if dense == 0 {
+		t.Fatal("no row reaches the dense emit")
+	}
+	if p.NNZ() >= bound {
+		t.Fatalf("nnz %d not below the symbolic bound %d: no cancellation", p.NNZ(), bound)
+	}
+	if cap(p.colIdx) != p.NNZ() || cap(p.val) != p.NNZ() {
+		t.Fatalf("cap(colIdx)=%d cap(val)=%d, want nnz %d", cap(p.colIdx), cap(p.val), p.NNZ())
+	}
+}
+
+// TestWitnessDenseMulWorkerInvariant checks the annotated ring on dense
+// rows: the multi-worker product, the 1-worker product and the
+// few-rows kernel agree byte for byte, derivations included.
+func TestWitnessDenseMulWorkerInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	n := 512
+	a := GLift[Witness](WitnessRing{}, randomMatrix(rng, n, 4*n))
+	b := GLift[Witness](WitnessRing{}, randomMatrix(rng, n, 12*n))
+	want := gMul(WitnessRing{}, a, b, 1)
+	dense := false
+	for r := 0; r < n && !dense; r++ {
+		dense = want.rowPtr[r+1]-want.rowPtr[r] >= int32(n/denseRowDivisor)
+	}
+	if !dense {
+		t.Fatal("no dense output row")
+	}
+	sameWitness := func(op string, got *GMatrix[Witness]) {
+		t.Helper()
+		if !slices.Equal(got.rowPtr, want.rowPtr) || !slices.Equal(got.colIdx, want.colIdx) ||
+			!slices.Equal(got.val, want.val) {
+			t.Fatalf("%s: witness product differs from the 1-worker kernel", op)
+		}
+	}
+	for _, w := range []int{2, 3, 8} {
+		sameWitness("workers", gMul(WitnessRing{}, a, b, w))
+	}
+	sameWitness("fewrows", gMulFewRows(WitnessRing{}, a, b))
 }
 
 // TestGenericIdentityConstructorsMatchFrozen pins the constructors the

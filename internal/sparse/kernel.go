@@ -2,9 +2,12 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Generic CSR kernel. Every matrix operator is written once here
@@ -15,6 +18,11 @@ import (
 // ascending, no explicit ring zeros — so equal values always have equal
 // bytes, which is what the delta-maintenance and replication
 // differential harnesses assert.
+//
+// Mul has one Gustavson kernel, gMul: a symbolic pass sizes every
+// output row, a numeric pass writes rows straight to their offsets, and
+// both passes run on one worker or many with byte-identical output.
+// gMulFewRows covers ultra-sparse left operands such as commit deltas.
 //
 // Semiring-dependent operators are free functions taking the ring
 // explicitly (Go methods cannot add type parameters); structurally
@@ -263,11 +271,12 @@ func GDiagMulBool[T any, R Ring[T]](ring R, m *GMatrix[T]) *GMatrix[T] {
 	return d
 }
 
-// GMulThresh returns the matrix product m·o under the ring with an
-// explicit parallel-kernel gate. The three kernels (serial Gustavson,
-// row-partitioned parallel, ultra-sparse few-rows) produce identical
-// results; the gate only picks the fastest. It panics if dimensions
-// differ.
+// GMulThresh returns the matrix product m·o under the ring. An
+// ultra-sparse left operand goes to the few-rows kernel; everything
+// else runs the two-pass Gustavson kernel, on GOMAXPROCS workers when
+// the product passes the Thresholds gate and on one otherwise. Every
+// path returns byte-identical results; the gate only picks the fastest.
+// It panics if dimensions differ.
 func GMulThresh[T any, R Ring[T]](ring R, m, o *GMatrix[T], t Thresholds) *GMatrix[T] {
 	if m.n != o.n {
 		panic(fmt.Sprintf("sparse: Mul dimension mismatch %d vs %d", m.n, o.n))
@@ -281,131 +290,212 @@ func GMulThresh[T any, R Ring[T]](ring R, m, o *GMatrix[T], t Thresholds) *GMatr
 	if len(m.val)*fewRowsRatio <= m.n {
 		return gMulFewRows(ring, m, o)
 	}
+	workers := 1
 	if m.n >= t.MinDim && len(m.val)+len(o.val) >= t.MinNNZ {
-		return gMulParallel(ring, m, o)
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return gMulSerial(ring, m, o)
+	return gMul(ring, m, o, workers)
 }
 
-// gMulSerial is the single-threaded Gustavson kernel.
-func gMulSerial[T any, R Ring[T]](ring R, m, o *GMatrix[T]) *GMatrix[T] {
-	p := &GMatrix[T]{n: m.n, rowPtr: make([]int32, m.n+1)}
-	acc := make([]T, m.n)
-	touched := make([]int32, 0, 64)
-	zero := ring.Zero()
-	for r := 0; r < m.n; r++ {
-		touched = gMulRow(ring, m, o, r, acc, touched[:0])
-		for _, c := range touched {
-			if !ring.IsZero(acc[c]) {
-				p.colIdx = append(p.colIdx, c)
-				p.val = append(p.val, acc[c])
-			}
-			acc[c] = zero
+const (
+	// mulBlockRows is the number of consecutive rows a worker claims at
+	// a time. Both passes hand out blocks from a shared counter, so a
+	// worker that drew heavy rows does not hold up the rest.
+	mulBlockRows = 64
+	// denseRowDivisor picks how a row's touched columns are put in
+	// order: a row touching at least n/denseRowDivisor of them scans
+	// its column range — at most denseRowDivisor slots per touched
+	// column — instead of sorting its touched list.
+	denseRowDivisor = 16
+)
+
+// gMul is the Gustavson kernel, run on up to workers goroutines. A
+// symbolic pass counts the distinct columns each output row touches,
+// an upper bound on its nnz; a prefix sum turns the counts into row
+// offsets, so colIdx and val are allocated once and the numeric pass
+// writes every row straight to its place. Rows are computed
+// independently, in the same accumulation order whatever the worker
+// count, so the result is byte-identical for any workers ≥ 1.
+func gMul[T any, R Ring[T]](ring R, m, o *GMatrix[T], workers int) *GMatrix[T] {
+	n := m.n
+	workers = max(1, min(workers, (n+mulBlockRows-1)/mulBlockRows))
+	rowPtr := make([]int32, n+1)
+	rowNNZ := make([]int32, n) // symbolic bound, then the count written
+
+	scratch := make([]mulScratch[T], workers)
+	forRowBlocks(n, workers, func(w, lo, hi int) {
+		s := scratch[w].ready(n)
+		for r := lo; r < hi; r++ {
+			rowNNZ[r] = gMulRowBound(m, o, r, s.mark)
 		}
-		p.rowPtr[r+1] = int32(len(p.colIdx))
+	})
+
+	total := 0
+	for r, c := range rowNNZ {
+		total += int(c)
+		if total > math.MaxInt32 {
+			panic(fmt.Sprintf("sparse: Mul output bound %d exceeds int32 offsets", total))
+		}
+		rowPtr[r+1] = int32(total)
 	}
-	return p
+	colIdx := make([]int32, total)
+	val := make([]T, total)
+
+	forRowBlocks(n, workers, func(w, lo, hi int) {
+		s := scratch[w].ready(n)
+		for r := lo; r < hi; r++ {
+			if out := rowPtr[r]; rowNNZ[r] > 0 {
+				rowNNZ[r] = gMulRow(ring, m, o, r, s, colIdx[out:], val[out:])
+			}
+		}
+	})
+
+	// Ring cancellation can leave rows short of their bound; close the
+	// gaps into exact-size arrays so a cached product holds nnz entries.
+	nnz := 0
+	for _, c := range rowNNZ {
+		nnz += int(c)
+	}
+	if nnz < total {
+		ci, v := make([]int32, nnz), make([]T, nnz)
+		pos := int32(0)
+		for r, c := range rowNNZ {
+			from := rowPtr[r]
+			copy(ci[pos:pos+c], colIdx[from:from+c])
+			copy(v[pos:pos+c], val[from:from+c])
+			rowPtr[r] = pos
+			pos += c
+		}
+		rowPtr[n] = pos
+		colIdx, val = ci, v
+	}
+	return &GMatrix[T]{n: n, rowPtr: rowPtr, colIdx: colIdx, val: val}
 }
 
-// gMulRow accumulates row r of m·o into acc, returning the touched
-// column indices sorted ascending. A column whose accumulator cancels
-// back to zero mid-row may be appended twice; the emit loop's
-// zero-after-visit handling makes duplicates harmless, exactly as in
-// the original int64 kernel.
-func gMulRow[T any, R Ring[T]](ring R, m, o *GMatrix[T], r int, acc []T, touched []int32) []int32 {
+// forRowBlocks calls fn(w, lo, hi) over [0, n) in blocks of
+// mulBlockRows rows claimed from a shared counter by workers
+// goroutines, and returns once every block is done. w identifies the
+// calling worker, so fn may keep per-worker scratch indexed by it.
+func forRowBlocks(n, workers int, fn func(w, lo, hi int)) {
+	if workers == 1 {
+		fn(0, 0, n)
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(mulBlockRows)) - mulBlockRows
+				if lo >= n {
+					return
+				}
+				fn(w, lo, min(lo+mulBlockRows, n))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// mulScratch is one worker's scratch space, reused for every row the
+// worker claims.
+type mulScratch[T any] struct {
+	mark    []int32 // per-column stamp of the row that last touched it
+	acc     []T     // dense accumulator, all ring zero between rows
+	touched []int32 // the current row's touched columns
+}
+
+// ready allocates the scratch for dimension n on first use.
+func (s *mulScratch[T]) ready(n int) *mulScratch[T] {
+	if s.mark == nil {
+		s.mark, s.acc = make([]int32, n), make([]T, n)
+	}
+	return s
+}
+
+// gMulRowBound counts the distinct columns row r of m·o touches. mark
+// is the worker's stamp array: a column is new to row r while its mark
+// is not r+1, so the array is never cleared between rows. gMulRow
+// stamps with −(r+1), so the two passes can share the array.
+func gMulRowBound[T any](m, o *GMatrix[T], r int, mark []int32) int32 {
+	lo, hi := m.rowPtr[r], m.rowPtr[r+1]
+	if hi-lo == 1 { // one contraction index: o's row columns are distinct
+		k := m.colIdx[lo]
+		return o.rowPtr[k+1] - o.rowPtr[k]
+	}
+	stamp := int32(r + 1)
+	var count int32
+	for _, k := range m.colIdx[lo:hi] {
+		for _, c := range o.colIdx[o.rowPtr[k]:o.rowPtr[k+1]] {
+			if mark[c] != stamp {
+				mark[c] = stamp
+				count++
+			}
+		}
+	}
+	return count
+}
+
+// gMulRow computes row r of m·o into s.acc, writes its nonzero entries
+// in ascending column order to the front of colIdx and val, and returns
+// how many it wrote, leaving s.acc all zero. A row touching at least
+// n/denseRowDivisor columns is put in column order by scanning the
+// marks across its [min, max] column range, which needs no sort; the
+// scan's conditional increment compiles without a branch, so a random
+// mix of touched and untouched columns costs no mispredictions.
+// Narrower rows sort their touched list.
+func gMulRow[T any, R Ring[T]](ring R, m, o *GMatrix[T], r int, s *mulScratch[T], colIdx []int32, val []T) int32 {
+	stamp := -int32(r + 1)
+	mark, acc, touched := s.mark, s.acc, s.touched[:0]
+	first, last := int32(len(acc)), int32(-1)
 	for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-		k := m.colIdx[i]
-		mv := m.val[i]
-		for j := o.rowPtr[k]; j < o.rowPtr[k+1]; j++ {
+		k, mv := m.colIdx[i], m.val[i]
+		lo, hi := o.rowPtr[k], o.rowPtr[k+1]
+		if lo == hi {
+			continue
+		}
+		first, last = min(first, o.colIdx[lo]), max(last, o.colIdx[hi-1])
+		for j := lo; j < hi; j++ {
 			c := o.colIdx[j]
-			if ring.IsZero(acc[c]) {
+			if mark[c] != stamp {
+				mark[c] = stamp
 				touched = append(touched, c)
 			}
 			acc[c] = ring.Add(acc[c], ring.MulVia(mv, k, o.val[j]))
 		}
 	}
-	sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
-	return touched
-}
-
-// gMulParallel partitions output rows across workers; each worker runs
-// the serial row kernel, and the chunks concatenate in row order, so
-// the result is identical to gMulSerial.
-func gMulParallel[T any, R Ring[T]](ring R, m, o *GMatrix[T]) *GMatrix[T] {
-	workers := runtime.NumCPU()
-	if workers > m.n {
-		workers = m.n
-	}
-	type chunk struct {
-		colIdx []int32
-		val    []T
-		rows   []int32 // per-row nnz within the chunk
-	}
-	chunks := make([]chunk, workers)
-	var wg sync.WaitGroup
-	rowsPer := (m.n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * rowsPer
-		hi := lo + rowsPer
-		if hi > m.n {
-			hi = m.n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			acc := make([]T, m.n)
-			touched := make([]int32, 0, 64)
-			zero := ring.Zero()
-			ck := chunk{rows: make([]int32, hi-lo)}
-			for r := lo; r < hi; r++ {
-				touched = gMulRow(ring, m, o, r, acc, touched[:0])
-				var nnz int32
-				for _, c := range touched {
-					if !ring.IsZero(acc[c]) {
-						ck.colIdx = append(ck.colIdx, c)
-						ck.val = append(ck.val, acc[c])
-						nnz++
-					}
-					acc[c] = zero
-				}
-				ck.rows[r-lo] = nnz
+	if len(touched) >= len(acc)/denseRowDivisor {
+		touched = append(touched, 0) // slack: the scan stores one slot ahead
+		t := 0
+		for c := first; c <= last; c++ {
+			touched[t] = c
+			if mark[c] == stamp {
+				t++
 			}
-			chunks[w] = ck
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	total := 0
-	for _, ck := range chunks {
-		total += len(ck.val)
-	}
-	p := &GMatrix[T]{
-		n:      m.n,
-		rowPtr: make([]int32, m.n+1),
-		colIdx: make([]int32, 0, total),
-		val:    make([]T, 0, total),
-	}
-	row := 0
-	for _, ck := range chunks {
-		for _, nnz := range ck.rows {
-			p.rowPtr[row+1] = p.rowPtr[row] + nnz
-			row++
 		}
-		p.colIdx = append(p.colIdx, ck.colIdx...)
-		p.val = append(p.val, ck.val...)
+		touched = touched[:t]
+	} else {
+		slices.Sort(touched)
 	}
-	for ; row < m.n; row++ {
-		p.rowPtr[row+1] = p.rowPtr[row]
+	zero := ring.Zero()
+	var n int32
+	for _, c := range touched {
+		if v := acc[c]; !ring.IsZero(v) {
+			colIdx[n] = c
+			val[n] = v
+			n++
+		}
+		acc[c] = zero
 	}
-	return p
+	s.touched = touched
+	return n
 }
 
 // gMulFewRows multiplies m·o visiting only m's nonzero rows with a hash
 // accumulator instead of a dense scratch row; output is identical to
-// the serial kernel.
+// gMul's.
 func gMulFewRows[T any, R Ring[T]](ring R, m, o *GMatrix[T]) *GMatrix[T] {
 	p := &GMatrix[T]{n: m.n, rowPtr: make([]int32, m.n+1)}
 	acc := make(map[int32]T, 64)
@@ -432,7 +522,7 @@ func gMulFewRows[T any, R Ring[T]](ring R, m, o *GMatrix[T]) *GMatrix[T] {
 				acc[c] = ring.Add(cur, ring.MulVia(mv, k, o.val[j]))
 			}
 		}
-		sort.Slice(cols, func(a, b int) bool { return cols[a] < cols[b] })
+		slices.Sort(cols)
 		for _, c := range cols {
 			if v := acc[c]; !ring.IsZero(v) {
 				p.colIdx = append(p.colIdx, c)

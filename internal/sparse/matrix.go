@@ -23,8 +23,9 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -56,11 +57,11 @@ func New(n int, triples []Triple) *Matrix {
 	}
 	sorted := make([]Triple, len(triples))
 	copy(sorted, triples)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
+	slices.SortFunc(sorted, func(a, b Triple) int {
+		if c := cmp.Compare(a.Row, b.Row); c != 0 {
+			return c
 		}
-		return sorted[i].Col < sorted[j].Col
+		return cmp.Compare(a.Col, b.Col)
 	})
 	m := &Matrix{n: n, rowPtr: make([]int32, n+1)}
 	m.colIdx = make([]int32, 0, len(sorted))
@@ -137,9 +138,8 @@ func (m *Matrix) Transpose() *Matrix {
 
 // Mul returns the matrix product m·o, the commuting matrix of a
 // concatenation p1·p2, using Gustavson's row-by-row SpGEMM. Large
-// products are computed with a row-partitioned parallel kernel whose
-// result is bit-identical to the serial one. It panics if dimensions
-// differ.
+// products run on several workers with a result byte-identical to one
+// worker's. It panics if dimensions differ.
 func (m *Matrix) Mul(o *Matrix) *Matrix {
 	return m.MulThresh(o, DefaultThresholds())
 }

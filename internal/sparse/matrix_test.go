@@ -304,14 +304,23 @@ func TestStringSmall(t *testing.T) {
 	}
 }
 
+// mulWorkers runs the Gustavson kernel on the given number of workers,
+// bypassing the GMulThresh gate.
+func (m *Matrix) mulWorkers(o *Matrix, workers int) *Matrix {
+	return wrapInt(gMul(IntRing{}, m.gm(), o.gm(), workers))
+}
+
 func TestMulParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 6; trial++ {
 		n := parallelMinDim + rng.Intn(400)
 		a := randomMatrix(rng, n, parallelMinNNZ+rng.Intn(20000))
 		b := randomMatrix(rng, n, parallelMinNNZ+rng.Intn(20000))
-		if !a.mulParallel(b).Equal(a.mulSerial(b)) {
-			t.Fatalf("trial %d: parallel product differs from serial", trial)
+		want := a.mulWorkers(b, 1)
+		for _, w := range []int{2, 3, 8} {
+			if !a.mulWorkers(b, w).Equal(want) {
+				t.Fatalf("trial %d: %d-worker product differs from 1-worker", trial, w)
+			}
 		}
 	}
 }
@@ -321,7 +330,32 @@ func TestMulParallelSmallRowCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	a := randomMatrix(rng, 3, 6)
 	b := randomMatrix(rng, 3, 6)
-	if !a.mulParallel(b).Equal(a.mulSerial(b)) {
+	if !a.mulWorkers(b, 8).Equal(a.mulWorkers(b, 1)) {
 		t.Fatal("parallel product wrong on tiny matrix")
+	}
+}
+
+// BenchmarkMulDenseRows times the product shape that dominates a cold
+// evaluation, author→paper→area→paper (w.r-a.r-a-): each author row
+// reaches every paper in its areas, so output rows touch well over n/16
+// columns and take the dense emit.
+func BenchmarkMulDenseRows(b *testing.B) {
+	const authors, papers, areas = 2000, 4000, 16
+	const n = authors + papers + areas
+	rng := rand.New(rand.NewSource(29))
+	var w, ra []Triple
+	for a := 0; a < authors; a++ {
+		for i := 0; i < 3; i++ {
+			w = append(w, Triple{Row: a, Col: authors + rng.Intn(papers), Val: 1})
+		}
+	}
+	for p := 0; p < papers; p++ {
+		ra = append(ra, Triple{Row: authors + p, Col: authors + papers + rng.Intn(areas), Val: 1})
+	}
+	raM := New(n, ra)
+	left, right := New(n, w).Mul(raM), raM.Transpose()
+	b.ReportAllocs()
+	for b.Loop() {
+		left.Mul(right)
 	}
 }

@@ -1,13 +1,11 @@
 package sparse
 
-// Parallel SpGEMM gating. Row-wise Gustavson multiplication is
-// embarrassingly parallel across output rows; for the large
-// commuting-matrix products on experiment-scale graphs this is the
-// dominant cost, so Mul switches to a row-partitioned parallel kernel
-// above a size threshold. Results are bit-identical to the serial
-// kernel (each row is computed independently and concatenated in
-// order). The kernels themselves are generic over the semiring and live
-// in kernel.go.
+// Parallel SpGEMM gating. Gustavson multiplication computes every
+// output row independently, so the kernel in kernel.go (gMul) runs its
+// symbolic and numeric passes on GOMAXPROCS workers once a product is
+// large enough to repay the goroutines, and on one worker below that.
+// Each row's output offset is fixed by the symbolic pass, so the
+// result is byte-identical whatever the worker count.
 
 const (
 	// parallelMinDim and parallelMinNNZ gate the parallel kernel; small
@@ -16,9 +14,9 @@ const (
 	parallelMinNNZ = 20000
 )
 
-// Thresholds gates the parallel SpGEMM kernel: a product runs on the
-// row-partitioned parallel kernel when the dimension is at least MinDim
-// AND the combined operand nnz is at least MinNNZ. Lower values favor
+// Thresholds gates the parallel SpGEMM kernel: a product runs on
+// GOMAXPROCS workers when the dimension is at least MinDim AND the
+// combined operand nnz is at least MinNNZ. Lower values favor
 // parallelism on smaller inputs; zero values force the parallel kernel
 // for every nonempty product.
 type Thresholds struct {
@@ -32,18 +30,7 @@ func DefaultThresholds() Thresholds {
 }
 
 // MulThresh is Mul with an explicit parallel-kernel gate. The result is
-// bit-identical whichever kernel runs. It panics if dimensions differ.
+// byte-identical whatever the gate picks. It panics if dimensions differ.
 func (m *Matrix) MulThresh(o *Matrix, t Thresholds) *Matrix {
 	return wrapInt(GMulThresh(IntRing{}, m.gm(), o.gm(), t))
-}
-
-// mulSerial and mulParallel expose the individual integer kernels so
-// tests can assert the parallel kernel is bit-identical to the serial
-// one regardless of the gate.
-func (m *Matrix) mulSerial(o *Matrix) *Matrix {
-	return wrapInt(gMulSerial(IntRing{}, m.gm(), o.gm()))
-}
-
-func (m *Matrix) mulParallel(o *Matrix) *Matrix {
-	return wrapInt(gMulParallel(IntRing{}, m.gm(), o.gm()))
 }
