@@ -157,12 +157,13 @@ func BenchmarkChainPlanned(b *testing.B) {
 
 func BenchmarkChainLeftToRight(b *testing.B) {
 	g := benchGraph()
-	p := rre.MustParse("w-.w.p-in.r-a-")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := eval.New(g)
-		ev.SetChainPlanning(false)
-		ev.Commuting(p)
+		// w-.w.p-in.r-a- folded strictly left to right.
+		w := g.Adjacency(datasets.LabelWrites)
+		pin := g.Adjacency(datasets.LabelPubIn)
+		ra := g.Adjacency(datasets.LabelRscArea)
+		w.Transpose().Mul(w).Mul(pin).Mul(ra.Transpose())
 	}
 }
 

@@ -1,10 +1,6 @@
 package eval
 
-import (
-	"sync"
-
-	"relsim/internal/sparse"
-)
+import "sync"
 
 // Key identifies one cached commuting matrix: the graph version it was
 // computed against, the semiring it was evaluated over, and the
@@ -53,8 +49,8 @@ func ringOfEntryKey(key string) string {
 }
 
 // CachedMatrix is the value type the cache stores: a CSR matrix over
-// any semiring. *sparse.Matrix is the integer instance; annotated
-// instances are *sparse.GMatrix[T].
+// any semiring, always as *sparse.GMatrix[T] — *sparse.GMatrix[int64]
+// for the integer ring.
 type CachedMatrix interface {
 	Dim() int
 	NNZ() int
@@ -252,21 +248,6 @@ func (c *Cache) lookupEntry(key Key) (CachedMatrix, uint64, bool) {
 	}
 	c.misses++
 	return nil, c.gen, false
-}
-
-// lookup is lookupEntry for the integer ring.
-func (c *Cache) lookup(key Key) (*sparse.Matrix, uint64, bool) {
-	ent, gen, ok := c.lookupEntry(key)
-	if !ok {
-		return nil, gen, false
-	}
-	m, isInt := ent.(*sparse.Matrix)
-	if !isInt {
-		// A tagged key can only hold its ring's matrix type; reaching
-		// here means the caller built a mismatched Key.
-		return nil, gen, false
-	}
-	return m, gen, true
 }
 
 // insert stores a computed matrix unless an invalidation ran since gen

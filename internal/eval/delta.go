@@ -197,7 +197,7 @@ func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) Ma
 		if _, dup := dst.entries[key]; dup {
 			continue
 		}
-		c.insertLocked(Key{Version: d.To, Pattern: key}, term.new, mt.patterns[key].Labels())
+		c.insertLocked(Key{Version: d.To, Pattern: key}, intG(term.new), mt.patterns[key].Labels())
 	}
 	if len(dst.entries) == 0 {
 		delete(c.versions, d.To)
@@ -207,22 +207,9 @@ func (c *Cache) Maintain(view graph.View, d CommitDelta, opt MaintainOptions) Ma
 }
 
 // mul multiplies under the maintenance gate, counting products.
-func (mt *maintainer) mul(a, b *sparse.Matrix) *sparse.Matrix {
+func (mt *maintainer) mul(a, b *sparse.GMatrix[int64]) *sparse.GMatrix[int64] {
 	mt.products++
-	return a.MulThresh(b, mt.opt.Gate)
-}
-
-// closure is the boolean reflexive-transitive closure with product
-// accounting, matching Evaluator.booleanClosure.
-func (mt *maintainer) closure(m *sparse.Matrix) *sparse.Matrix {
-	cur := sparse.Identity(m.Dim()).Add(m.Boolean()).Boolean()
-	for {
-		next := mt.mul(cur, cur).Boolean()
-		if next.Equal(cur) {
-			return cur
-		}
-		cur = next
-	}
+	return sparse.GMulThresh(sparse.IntRing{}, a, b, mt.opt.Gate)
 }
 
 // cachedOld returns the matrix cached at (d.From, key) grown to NewN.
@@ -237,14 +224,14 @@ func (mt *maintainer) cachedOld(key string) (*sparse.Matrix, bool) {
 	if !ok {
 		return nil, false
 	}
-	m, isInt := ent.m.(*sparse.Matrix)
+	m, isInt := ent.m.(*sparse.GMatrix[int64])
 	if !isInt {
 		// Unreachable for round-tripped pattern keys (tagged keys are
 		// filtered before the walk), but never patch a non-integer
 		// matrix.
 		return nil, false
 	}
-	return m.Grow(mt.d.NewN), true
+	return intM(m).Grow(mt.d.NewN), true
 }
 
 // normalize enforces the maintTerm invariant: an empty delta becomes
@@ -390,17 +377,17 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 			if ch.delta == nil {
 				continue
 			}
-			s := ch.delta
+			s := intG(ch.delta)
 			for j := i + 1; j < len(terms); j++ {
-				s = mt.mul(s, terms[j].old)
+				s = mt.mul(s, intG(terms[j].old))
 			}
 			for j := i - 1; j >= 0; j-- {
-				s = mt.mul(terms[j].new, s)
+				s = mt.mul(intG(terms[j].new), s)
 			}
 			if t.delta == nil {
-				t.delta = s
+				t.delta = intM(s)
 			} else {
-				t.delta = t.delta.Add(s)
+				t.delta = t.delta.Add(intM(s))
 			}
 		}
 		if old, ok := mt.cachedOld(key); ok {
@@ -408,10 +395,11 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 		} else {
 			// The full product was evicted; rebuild it from the (old)
 			// children — the cost a cache miss would have paid anyway.
-			t.old = terms[0].old
+			old := intG(terms[0].old)
 			for _, ch := range terms[1:] {
-				t.old = mt.mul(t.old, ch.old)
+				old = mt.mul(old, intG(ch.old))
 			}
+			t.old = intM(old)
 		}
 		if t.delta == nil || t.delta.NNZ() == 0 {
 			t.delta = nil
@@ -459,7 +447,7 @@ func (mt *maintainer) compute(p *rre.Pattern, key string) (*maintTerm, error) {
 		}
 		// Closure has no delta algebra; recompute from the maintained
 		// child — the subtree below it is still saved.
-		t.new = mt.closure(ch.new)
+		t.new = intM(sparse.GBooleanClosure(sparse.IntRing{}, intG(ch.new), mt.mul))
 		if old, ok := mt.cachedOld(key); ok {
 			t.old = old
 		} else {
@@ -498,7 +486,7 @@ func (mt *maintainer) recomputeUnary(key string, ch *maintTerm, op func(*sparse.
 // for the new isolated nodes that the true old closure (at OldN, grown)
 // does not have; strip them.
 func (mt *maintainer) starOldFromChild(ch *maintTerm) *sparse.Matrix {
-	c := mt.closure(ch.old)
+	c := intM(sparse.GBooleanClosure(sparse.IntRing{}, intG(ch.old), mt.mul))
 	if mt.d.nodesGrew() {
 		c = c.Sub(sparse.IdentityRange(mt.d.NewN, mt.d.OldN, mt.d.NewN))
 	}

@@ -61,8 +61,8 @@ func entriesAt(c *Cache, v uint64) map[string]*sparse.Matrix {
 	out := make(map[string]*sparse.Matrix)
 	if b, ok := c.versions[v]; ok {
 		for p, ent := range b.entries {
-			if m, isInt := ent.m.(*sparse.Matrix); isInt {
-				out[p] = m
+			if m, isInt := ent.m.(*sparse.GMatrix[int64]); isInt {
+				out[p] = intM(m)
 			}
 		}
 	}

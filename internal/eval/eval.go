@@ -60,11 +60,10 @@ type Evaluator struct {
 	// in one place.
 	counters *Counters
 
-	mu         sync.Mutex
-	noPlanning bool
-	canonical  bool
-	gate       sparse.Thresholds
-	mulHook    func(a, b *sparse.Matrix)
+	mu        sync.Mutex
+	canonical bool
+	gate      sparse.Thresholds
+	mulHook   func(a, b *sparse.Matrix)
 }
 
 // Counters are one evaluator's private tallies: cache hits and misses
@@ -98,15 +97,14 @@ func (e *Evaluator) WithContext(ctx context.Context) *Evaluator {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return &Evaluator{
-		g:          e.g,
-		version:    e.version,
-		cache:      e.cache,
-		ctx:        ctx,
-		counters:   e.counters,
-		noPlanning: e.noPlanning,
-		canonical:  e.canonical,
-		gate:       e.gate,
-		mulHook:    e.mulHook,
+		g:         e.g,
+		version:   e.version,
+		cache:     e.cache,
+		ctx:       ctx,
+		counters:  e.counters,
+		canonical: e.canonical,
+		gate:      e.gate,
+		mulHook:   e.mulHook,
 	}
 }
 
@@ -196,34 +194,6 @@ func (e *Evaluator) SetMulHook(fn func(a, b *sparse.Matrix)) {
 	e.mulHook = fn
 }
 
-// mul multiplies two matrices under the evaluator's parallel gate,
-// checking cancellation first.
-func (e *Evaluator) mul(a, b *sparse.Matrix) *sparse.Matrix {
-	e.checkCanceled()
-	e.mu.Lock()
-	gate, hook := e.gate, e.mulHook
-	e.mu.Unlock()
-	if hook != nil {
-		hook(a, b)
-	}
-	e.counters.Products.Add(1)
-	return a.MulThresh(b, gate)
-}
-
-// booleanClosure is sparse.BooleanClosure routed through the
-// evaluator's mul, so the repeated-squaring products of a Kleene star
-// honor cancellation and the parallel gate like every other product.
-func (e *Evaluator) booleanClosure(m *sparse.Matrix) *sparse.Matrix {
-	cur := sparse.Identity(m.Dim()).Add(m.Boolean()).Boolean()
-	for {
-		next := e.mul(cur, cur).Boolean()
-		if next.Equal(cur) {
-			return cur
-		}
-		cur = next
-	}
-}
-
 // Materialize precomputes and caches the commuting matrices of the given
 // patterns. Table 4 of the paper assumes all meta-paths up to length 3
 // are materialized; the experiment harness calls this with that set.
@@ -239,30 +209,74 @@ func (e *Evaluator) Materialize(ps ...*rre.Pattern) {
 // the canonical rendering and every subexpression of a canonical
 // pattern is cached under its own canonical key.
 func (e *Evaluator) Commuting(p *rre.Pattern) *sparse.Matrix {
+	r := e.intEval()
+	return intM(r.commuting(r.canonicalize(p)))
+}
+
+// intG and intM convert between an integer matrix and its generic
+// representation; both are free pointer conversions.
+func intG(m *sparse.Matrix) *sparse.GMatrix[int64] { return (*sparse.GMatrix[int64])(m) }
+func intM(m *sparse.GMatrix[int64]) *sparse.Matrix { return (*sparse.Matrix)(m) }
+
+// intEval binds the recursion to the integer ring. Label matrices are
+// the graph's adjacency matrices themselves, and the mul hook sees the
+// same *sparse.Matrix pointers Commuting returns for the factors.
+func (e *Evaluator) intEval() ringEval[int64, sparse.IntRing] {
+	return newRingEval(e, sparse.IntRing{}, "", intG, intM)
+}
+
+// ringEval is the commuting-matrix recursion of paper §4.3 over one
+// semiring: the integer ring for ranking, the witness ring for
+// provenance. Every ring shares the cache, the chain planner, the
+// closure and the product accounting below. It snapshots the
+// evaluator's settings when built and is safe for concurrent use.
+type ringEval[T any, R sparse.Ring[T]] struct {
+	e         *Evaluator
+	ring      R
+	tag       string // Key.Ring: "" for the integer ring
+	canonical bool
+	gate      sparse.Thresholds
+	hook      func(a, b *sparse.Matrix)
+	// lift turns a label's adjacency matrix into a ring matrix.
+	lift func(*sparse.Matrix) *sparse.GMatrix[T]
+	// hookArg is what the mul hook sees for an operand.
+	hookArg func(*sparse.GMatrix[T]) *sparse.Matrix
+}
+
+func newRingEval[T any, R sparse.Ring[T]](e *Evaluator, ring R, tag string, lift func(*sparse.Matrix) *sparse.GMatrix[T], hookArg func(*sparse.GMatrix[T]) *sparse.Matrix) ringEval[T, R] {
 	e.mu.Lock()
-	canonical := e.canonical
-	e.mu.Unlock()
-	if canonical {
-		// Canonical forms are closed under Subs(), so the recursion below
-		// only ever sees canonical patterns and canonicalizes once here.
-		// Inexact canonicalizations (disjunction branches collapsing, which
-		// would change counts) keep the raw pattern and its raw key — the
-		// exact behavior of a non-canonical evaluator.
+	defer e.mu.Unlock()
+	return ringEval[T, R]{
+		e: e, ring: ring, tag: tag, canonical: e.canonical,
+		gate: e.gate, hook: e.mulHook, lift: lift, hookArg: hookArg,
+	}
+}
+
+// canonicalize applies the evaluator's key mode. Canonical forms are
+// closed under Subs(), so the recursion only ever sees canonical
+// patterns and canonicalizes once, at the top. Inexact
+// canonicalizations (disjunction branches collapsing, which would
+// change counts) keep the raw pattern and its raw key — the exact
+// behavior of a non-canonical evaluator.
+func (r *ringEval[T, R]) canonicalize(p *rre.Pattern) *rre.Pattern {
+	if r.canonical {
 		if c, exact := rre.CanonicalExact(p); exact {
-			p = c
+			return c
 		}
 	}
-	return e.commuting(p)
+	return p
 }
 
 // commuting is the cache-backed recursion; p must already be canonical
 // when the evaluator runs in canonical-key mode.
-func (e *Evaluator) commuting(p *rre.Pattern) *sparse.Matrix {
-	key := Key{Version: e.version, Pattern: p.String()}
-	m, gen, ok := e.cache.lookup(key)
+func (r *ringEval[T, R]) commuting(p *rre.Pattern) *sparse.GMatrix[T] {
+	e := r.e
+	key := Key{Version: e.version, Ring: r.tag, Pattern: p.String()}
+	ent, gen, ok := e.cache.lookupEntry(key)
 	if ok {
 		e.counters.Hits.Add(1)
-		return m
+		// The ring tag in the key fixes the stored matrix type.
+		return ent.(*sparse.GMatrix[T])
 	}
 	e.counters.Misses.Add(1)
 	// Recompute outside any lock. If an invalidation runs while we
@@ -270,51 +284,53 @@ func (e *Evaluator) commuting(p *rre.Pattern) *sparse.Matrix {
 	// stale: return it to this caller (the read raced the write
 	// regardless) but do not poison the cache — insert drops it when the
 	// generation moved past gen.
-	m = e.compute(p)
+	m := r.compute(p)
 	e.cache.insert(key, m, p.Labels(), gen)
 	return m
 }
 
-func (e *Evaluator) compute(p *rre.Pattern) *sparse.Matrix {
-	e.checkCanceled()
-	n := e.g.NumNodes()
+func (r *ringEval[T, R]) compute(p *rre.Pattern) *sparse.GMatrix[T] {
+	r.e.checkCanceled()
+	ring := r.ring
 	switch p.Kind() {
 	case rre.KindEps:
-		return sparse.Identity(n)
+		return sparse.GIdentity[T](ring, r.e.g.NumNodes())
 	case rre.KindLabel:
-		return e.g.Adjacency(p.LabelName())
+		return r.lift(r.e.g.Adjacency(p.LabelName()))
 	case rre.KindRev:
-		return e.commuting(p.Subs()[0]).Transpose()
+		return r.commuting(p.Subs()[0]).Transpose()
 	case rre.KindConcat:
-		factors := make([]*sparse.Matrix, len(p.Subs()))
+		factors := make([]*sparse.GMatrix[T], len(p.Subs()))
 		for i, s := range p.Subs() {
-			factors[i] = e.commuting(s)
+			factors[i] = r.commuting(s)
 		}
-		e.mu.Lock()
-		planned := !e.noPlanning
-		e.mu.Unlock()
-		if !planned {
-			m := factors[0]
-			for _, f := range factors[1:] {
-				m = e.mul(m, f)
-			}
-			return m
-		}
-		return e.mulChain(factors)
+		return r.mulChain(factors)
 	case rre.KindAlt:
-		m := e.commuting(p.Subs()[0])
+		m := r.commuting(p.Subs()[0])
 		for _, s := range p.Subs()[1:] {
-			m = m.Add(e.commuting(s))
+			m = sparse.GAdd(ring, m, r.commuting(s))
 		}
 		return m
 	case rre.KindStar:
-		return e.booleanClosure(e.commuting(p.Subs()[0]))
+		return sparse.GBooleanClosure(ring, r.commuting(p.Subs()[0]), r.mul)
 	case rre.KindSkip:
-		return e.commuting(p.Subs()[0]).Boolean()
+		return sparse.GBoolean(ring, r.commuting(p.Subs()[0]))
 	case rre.KindNest:
-		return e.commuting(p.Subs()[0]).DiagMulBool()
+		return sparse.GDiagMulBool(ring, r.commuting(p.Subs()[0]))
 	}
 	panic("eval: invalid pattern kind")
+}
+
+// mul is every product the recursion performs — chain steps and
+// closure squarings: cancellation check, mul hook, product accounting,
+// then the kernel under the evaluator's parallel gate.
+func (r *ringEval[T, R]) mul(a, b *sparse.GMatrix[T]) *sparse.GMatrix[T] {
+	r.e.checkCanceled()
+	if r.hook != nil {
+		r.hook(r.hookArg(a), r.hookArg(b))
+	}
+	r.e.counters.Products.Add(1)
+	return sparse.GMulThresh(r.ring, a, b, r.gate)
 }
 
 // CountInstances returns |I^{u,v}(p)| by direct recursion over the graph,

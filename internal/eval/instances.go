@@ -44,10 +44,14 @@ func (in Instance) Render(g graph.View) string {
 // counterpart of CountInstances: for star-free patterns the number of
 // enumerated instances equals the instance count (Kleene star collapses
 // to a single reachability witness, matching the boolean semantics of
-// Commuting). A non-positive limit enumerates everything.
+// Commuting). A non-positive limit enumerates everything; a positive
+// one returns the first limit instances of that enumeration, with
+// memory bounded by limit rather than by the instance count.
 func (e *Evaluator) Instances(p *rre.Pattern, u, v graph.NodeID, limit int) []Instance {
-	en := &instanceEnum{e: e, limit: limit}
-	seqs := en.enum(p, u, v)
+	if limit <= 0 {
+		limit = -1
+	}
+	seqs := e.enum(p, u, v, limit)
 	out := make([]Instance, len(seqs))
 	for i, s := range seqs {
 		out[i] = Instance{From: u, To: v, Seq: s}
@@ -55,127 +59,90 @@ func (e *Evaluator) Instances(p *rre.Pattern, u, v graph.NodeID, limit int) []In
 	return out
 }
 
-type instanceEnum struct {
-	e     *Evaluator
-	limit int
-	count int
-}
-
-func (en *instanceEnum) capped() bool {
-	return en.limit > 0 && en.count >= en.limit
-}
-
-func (en *instanceEnum) take(seqs [][]string) [][]string {
-	if en.limit <= 0 {
-		en.count += len(seqs)
-		return seqs
-	}
-	room := en.limit - en.count
-	if room <= 0 {
-		return nil
-	}
-	if len(seqs) > room {
-		seqs = seqs[:room]
-	}
-	en.count += len(seqs)
-	return seqs
-}
-
 func node(id graph.NodeID) string { return fmt.Sprintf("%d", id) }
 
-func (en *instanceEnum) enum(p *rre.Pattern, u, v graph.NodeID) [][]string {
-	if en.capped() {
+// enum returns the first budget instance sequences of p from u to v,
+// all of them when budget < 0. Every sub-enumeration gets the remaining
+// budget, so it returns a prefix of its own unlimited enumeration.
+func (e *Evaluator) enum(p *rre.Pattern, u, v graph.NodeID, budget int) [][]string {
+	if budget == 0 {
 		return nil
 	}
-	g := en.e.Graph()
+	var out [][]string
+	// left is the budget after the instances collected so far.
+	left := func() int {
+		if budget < 0 {
+			return -1
+		}
+		return budget - len(out)
+	}
 	switch p.Kind() {
 	case rre.KindEps:
 		if u == v {
-			return en.take([][]string{{node(u)}})
+			out = append(out, []string{node(u)})
 		}
-		return nil
 	case rre.KindLabel:
-		n := g.EdgeCount(u, p.LabelName(), v)
-		var out [][]string
-		for i := 0; i < n; i++ {
+		for i := e.g.EdgeCount(u, p.LabelName(), v); i > 0 && left() != 0; i-- {
 			out = append(out, []string{node(u), p.LabelName(), node(v)})
 		}
-		return en.take(out)
 	case rre.KindRev:
-		saved := en.count
-		inner := en.enum(p.Subs()[0], v, u)
-		en.count = saved
-		var out [][]string
-		for _, s := range inner {
-			out = append(out, reverseSeq(s))
+		out = e.enum(p.Subs()[0], v, u, budget)
+		for i, s := range out {
+			out[i] = reverseSeq(s)
 		}
-		return en.take(out)
 	case rre.KindConcat:
 		subs := p.Subs()
 		head, tail := subs[0], rre.Concat(subs[1:]...)
-		var out [][]string
-		for w := graph.NodeID(0); int(w) < g.NumNodes(); w++ {
-			if en.limit > 0 && en.count+len(out) >= en.limit {
-				break
+		// Only intermediate nodes w with head instances from u matter:
+		// the nonzero columns of row u of the head's commuting matrix.
+		e.Commuting(head).Row(int(u), func(col int, _ int64) {
+			if left() == 0 {
+				return
 			}
-			// Quick pruning via the commuting matrices.
-			if en.e.Commuting(head).At(int(u), int(w)) == 0 {
-				continue
+			w := graph.NodeID(col)
+			ts := e.enum(tail, w, v, left())
+			if len(ts) == 0 {
+				return
 			}
-			saved := en.count
-			hs := en.enumUnlimited(head, u, w)
-			ts := en.enumUnlimited(tail, w, v)
-			en.count = saved
-			for _, h := range hs {
+			for _, h := range e.enum(head, u, w, left()) {
 				for _, t := range ts {
+					if left() == 0 {
+						return
+					}
 					out = append(out, joinSeq(h, t))
 				}
 			}
-		}
-		return en.take(out)
+		})
 	case rre.KindAlt:
-		var out [][]string
 		for _, s := range p.Subs() {
-			out = append(out, en.enum(s, u, v)...)
+			if left() == 0 {
+				break
+			}
+			out = append(out, e.enum(s, u, v, left())...)
 		}
-		return out
 	case rre.KindStar:
-		if en.e.Commuting(p).At(int(u), int(v)) > 0 {
-			return en.take([][]string{{node(u), p.String(), node(v)}})
+		if e.Commuting(p).At(int(u), int(v)) > 0 {
+			out = append(out, []string{node(u), p.String(), node(v)})
 		}
-		return nil
 	case rre.KindSkip:
-		if en.e.Commuting(p).At(int(u), int(v)) > 0 {
-			return en.take([][]string{{node(u), p.StripSkips().String(), node(v)}})
+		if e.Commuting(p).At(int(u), int(v)) > 0 {
+			out = append(out, []string{node(u), p.StripSkips().String(), node(v)})
 		}
-		return nil
 	case rre.KindNest:
 		if u != v {
 			return nil
 		}
 		inner := p.Subs()[0]
-		var out [][]string
-		for w := graph.NodeID(0); int(w) < g.NumNodes(); w++ {
-			if en.e.Commuting(inner).At(int(u), int(w)) == 0 {
-				continue
+		e.Commuting(inner).Row(int(u), func(w int, _ int64) {
+			if left() == 0 {
+				return
 			}
-			saved := en.count
-			ws := en.enumUnlimited(inner, u, w)
-			en.count = saved
-			for _, s := range ws {
+			for _, s := range e.enum(inner, u, graph.NodeID(w), left()) {
 				out = append(out, append(append([]string{}, s...), "↩", node(u)))
 			}
-		}
-		return en.take(out)
+		})
 	}
-	return nil
-}
-
-// enumUnlimited enumerates without charging the cap (used for the parts
-// of a product; the product itself is capped by the caller).
-func (en *instanceEnum) enumUnlimited(p *rre.Pattern, u, v graph.NodeID) [][]string {
-	sub := &instanceEnum{e: en.e}
-	return sub.enum(p, u, v)
+	return out
 }
 
 // joinSeq implements the paper's s • t: defined when the last entry of s

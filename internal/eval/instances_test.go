@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -132,6 +133,72 @@ func TestInstancesLimit(t *testing.T) {
 	capped := ev.Instances(p, names["PatternMining"], names["PatternMining"], 1)
 	if len(capped) != 1 {
 		t.Errorf("limit ignored: %d", len(capped))
+	}
+}
+
+// TestInstancesLimitIsPrefix: a limited enumeration returns exactly
+// the first limit instances of the unlimited one, for every operator.
+func TestInstancesLimitIsPrefix(t *testing.T) {
+	labels := []string{"a", "b"}
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(4)
+		g := graph.New()
+		for i := 0; i < n; i++ {
+			g.AddNode("", "")
+		}
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			g.AddEdge(graph.NodeID(rng.Intn(n)), labels[rng.Intn(2)], graph.NodeID(rng.Intn(n)))
+		}
+		ev := New(g)
+		p := randomPattern(rng, labels, 1+rng.Intn(3))
+		for u := graph.NodeID(0); int(u) < n; u++ {
+			for v := graph.NodeID(0); int(v) < n; v++ {
+				all := ev.Instances(p, u, v, 0)
+				for _, limit := range []int{1, 2, 3, 5, 8} {
+					got := ev.Instances(p, u, v, limit)
+					want := all[:min(limit, len(all))]
+					if len(got) != len(want) {
+						t.Fatalf("trial %d: %s (%d,%d) limit %d: %d instances, want %d", trial, p, u, v, limit, len(got), len(want))
+					}
+					for i := range got {
+						if got[i].String() != want[i].String() {
+							t.Fatalf("trial %d: %s (%d,%d) limit %d: instance %d is %q, want %q", trial, p, u, v, limit, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInstancesAllocationFlat: through one hub with k leaves,
+// a.b.b-.b.b- has k² instances from the source to the hub; a limited
+// enumeration must allocate the same whatever k is.
+func TestInstancesAllocationFlat(t *testing.T) {
+	p := rre.MustParse("a.b.b-.b.b-")
+	allocated := func(k int) uint64 {
+		g := graph.New()
+		src, hub := g.AddNode("", ""), g.AddNode("", "")
+		g.AddEdge(src, "a", hub)
+		for i := 0; i < k; i++ {
+			g.AddEdge(hub, "b", g.AddNode("", ""))
+		}
+		ev := New(g)
+		if got := len(ev.Instances(p, src, hub, 10)); got != 10 { // warms the cache
+			t.Fatalf("k=%d: %d instances, want 10", k, got)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 20; i++ {
+			ev.Instances(p, src, hub, 10)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 20
+	}
+	small, large := allocated(50), allocated(800)
+	if large > small+small/2 {
+		t.Fatalf("limit-10 enumeration allocates %d B at k=800 vs %d B at k=50", large, small)
 	}
 }
 

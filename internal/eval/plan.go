@@ -13,24 +13,16 @@ import (
 // the classic sparse matrix-chain heuristic. Estimates come from the
 // exact per-index column/row occupancy of the operands, so the first
 // product's estimate is exact and later ones remain good in practice.
-//
-// Planning is on by default; SetChainPlanning(false) restores strict
-// left-to-right evaluation (the ablation knob used by the benchmarks).
-
-// SetChainPlanning toggles cost-based ordering of concatenation chains.
-func (e *Evaluator) SetChainPlanning(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.noPlanning = !on
-}
+// Every ring's product is associative (the witness ring's is fuzzed),
+// so one planner serves them all.
 
 // occupancy returns the per-index column and row occupancy of m in one
 // pass: col[k] = nnz of column k, row[k] = nnz of row k.
-func occupancy(m *sparse.Matrix) (col, row []int64) {
+func occupancy[T any](m *sparse.GMatrix[T]) (col, row []int64) {
 	n := m.Dim()
 	col = make([]int64, n)
 	row = make([]int64, n)
-	m.Each(func(r, c int, _ int64) {
+	m.Each(func(r, c int, _ T) {
 		col[c]++
 		row[r]++
 	})
@@ -50,19 +42,19 @@ func occDot(colA, rowB []int64) int64 {
 }
 
 // mulChain multiplies the factor list with greedy cost-based pairing.
-// Each product goes through Evaluator.mul, which applies the parallel
+// Each product goes through ringEval.mul, which applies the parallel
 // kernel gate and checks cancellation between products. Occupancy
 // vectors are computed once per factor up front and once per merged
 // product, so a chain step costs one O(k·n) scan over the vectors
 // instead of k full passes over the operands' nonzeros.
-func (e *Evaluator) mulChain(factors []*sparse.Matrix) *sparse.Matrix {
+func (r *ringEval[T, R]) mulChain(factors []*sparse.GMatrix[T]) *sparse.GMatrix[T] {
 	switch len(factors) {
 	case 0:
 		panic("eval: empty multiplication chain")
 	case 1:
 		return factors[0]
 	}
-	ms := append([]*sparse.Matrix(nil), factors...)
+	ms := append([]*sparse.GMatrix[T](nil), factors...)
 	cols := make([][]int64, len(ms))
 	rows := make([][]int64, len(ms))
 	for i, m := range ms {
@@ -77,7 +69,7 @@ func (e *Evaluator) mulChain(factors []*sparse.Matrix) *sparse.Matrix {
 				best, bestCost = i, c
 			}
 		}
-		prod := e.mul(ms[best], ms[best+1])
+		prod := r.mul(ms[best], ms[best+1])
 		ms[best] = prod
 		cols[best], rows[best] = occupancy(prod)
 		ms = append(ms[:best+1], ms[best+2:]...)

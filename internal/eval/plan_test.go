@@ -9,8 +9,18 @@ import (
 	"relsim/internal/sparse"
 )
 
-// TestChainPlanningPreservesResults: planned and left-to-right
-// evaluation must produce identical commuting matrices (associativity).
+// stepMatrix is the commuting matrix of one meta-path step.
+func stepMatrix(g graph.View, s rre.Step) *sparse.Matrix {
+	a := g.Adjacency(s.Label)
+	if s.Reverse {
+		a = a.Transpose()
+	}
+	return a
+}
+
+// TestChainPlanningPreservesResults: planned evaluation must produce
+// the same commuting matrix as an explicit left-to-right Mul fold
+// (associativity).
 func TestChainPlanningPreservesResults(t *testing.T) {
 	labels := []string{"a", "b", "c"}
 	rng := rand.New(rand.NewSource(5))
@@ -23,10 +33,11 @@ func TestChainPlanningPreservesResults(t *testing.T) {
 		}
 		p := rre.FromSteps(steps)
 
-		planned := New(g)
-		unplanned := New(g)
-		unplanned.SetChainPlanning(false)
-		if !planned.Commuting(p).Equal(unplanned.Commuting(p)) {
+		want := stepMatrix(g, steps[0])
+		for _, s := range steps[1:] {
+			want = want.Mul(stepMatrix(g, s))
+		}
+		if !New(g).Commuting(p).Equal(want) {
 			t.Fatalf("trial %d: planning changed the result for %s", trial, p)
 		}
 	}
@@ -36,8 +47,8 @@ func TestChainPlanningPreservesResults(t *testing.T) {
 // them — kept here because mulChain itself hoists the occupancy
 // vectors rather than recomputing them per candidate pair.
 func mulCostEstimate(a, b *sparse.Matrix) int64 {
-	colA, _ := occupancy(a)
-	_, rowB := occupancy(b)
+	colA, _ := occupancy(intG(a))
+	_, rowB := occupancy(intG(b))
 	return occDot(colA, rowB)
 }
 
@@ -68,8 +79,9 @@ func TestMulCostEstimateExactForFirstProduct(t *testing.T) {
 }
 
 func TestMulChainSingleFactor(t *testing.T) {
-	m := sparse.Identity(3)
-	if got := New(graph.New()).mulChain([]*sparse.Matrix{m}); got != m {
+	m := intG(sparse.Identity(3))
+	r := New(graph.New()).intEval()
+	if got := r.mulChain([]*sparse.GMatrix[int64]{m}); got != m {
 		t.Error("single-factor chain must return the factor")
 	}
 }
@@ -80,7 +92,8 @@ func TestMulChainPanicsOnEmpty(t *testing.T) {
 			t.Fatal("empty chain must panic")
 		}
 	}()
-	New(graph.New()).mulChain(nil)
+	r := New(graph.New()).intEval()
+	r.mulChain(nil)
 }
 
 // BenchmarkChainPlanOverhead guards the chain planner's bookkeeping
@@ -96,19 +109,19 @@ func BenchmarkChainPlanOverhead(b *testing.B) {
 		factors = 10
 		nnz     = 4000
 	)
-	ms := make([]*sparse.Matrix, factors)
+	ms := make([]*sparse.GMatrix[int64], factors)
 	for i := range ms {
 		ts := make([]sparse.Triple, nnz)
 		for j := range ts {
 			ts[j] = sparse.Triple{Row: rng.Intn(n), Col: rng.Intn(n), Val: 1}
 		}
-		ms[i] = sparse.New(n, ts)
+		ms[i] = intG(sparse.New(n, ts))
 	}
-	ev := New(graph.New())
+	r := New(graph.New()).intEval()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.mulChain(ms)
+		r.mulChain(ms)
 	}
 }
 

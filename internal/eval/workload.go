@@ -237,6 +237,7 @@ func EstimateProducts(patterns []*rre.Pattern) int {
 // *Canceled error; nodes already materialized stay cached, so a retry
 // resumes where the schedule stopped.
 func (wp *WorkloadPlan) Execute(ev *Evaluator, workers int) error {
+	r := ev.intEval()
 	n := len(wp.nodes)
 	if n > 0 {
 		if workers < 1 {
@@ -275,7 +276,7 @@ func (wp *WorkloadPlan) Execute(ev *Evaluator, workers int) error {
 					// bookkeeping below still runs so the drain terminates.
 					if !failed.Load() {
 						if err := Guard(func() error {
-							ev.commuting(nd.pat)
+							r.commuting(nd.pat)
 							return nil
 						}); err != nil {
 							failed.Store(true)
@@ -303,7 +304,7 @@ func (wp *WorkloadPlan) Execute(ev *Evaluator, workers int) error {
 	// the same key a canonical-key evaluator falls back to at scoring.
 	for _, p := range wp.unplanned {
 		if err := Guard(func() error {
-			ev.commuting(p)
+			r.commuting(p)
 			return nil
 		}); err != nil {
 			return err

@@ -13,16 +13,17 @@ import (
 )
 
 // BenchmarkBatchThroughput measures /batch queries/sec over dblp-small
-// at 1, 4 and 16 workers, the baseline for later scaling PRs. The first
-// request materializes the expanded pattern set; steady-state batches
-// run against the hot commuting-matrix cache, which is the serving
-// regime the worker pool is for.
+// at 1, 4 and 16 workers. Config.Workers is 16 so every row's request
+// runs at the pool size it asks for. The first request materializes
+// the expanded pattern set; steady-state batches run against the hot
+// commuting-matrix cache, which is the serving regime the worker pool
+// is for.
 func BenchmarkBatchThroughput(b *testing.B) {
 	ds, err := datasets.ByName("dblp-small")
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := New(store.New(ds.Graph), ds.Schema)
+	srv := New(store.New(ds.Graph), ds.Schema, func(c *Config) { c.Workers = 16 })
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -301,8 +301,9 @@ func (s *Server) writeIfCanceled(w http.ResponseWriter, err error) bool {
 	return true
 }
 
-// BatchRequest is the POST /batch body. Workers overrides the server's
-// worker-pool size for this batch only.
+// BatchRequest is the POST /batch body. Workers lowers the server's
+// worker-pool size (Config.Workers) for this batch only; a larger value
+// is clamped to it, so a client can never raise the pool.
 type BatchRequest struct {
 	Queries []SearchRequest `json:"queries"`
 	Workers int             `json:"workers,omitempty"`
@@ -367,9 +368,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
+	workers := s.cfg.Workers
+	if req.Workers > 0 && req.Workers < workers {
+		workers = req.Workers
 	}
 	// The scoring pool is capped by the query count, but the plan
 	// schedule is not: one query can expand into dozens of independent
@@ -591,11 +592,12 @@ func (s *Server) batchPatterns(queries []SearchRequest) []*rre.Pattern {
 
 // ExplainRequest is the POST /explain body: explain why From and To
 // are similar under Pattern (nodes are names or ids). The legacy mode
-// enumerates up to Limit concrete instances; with Annotate "witness"
-// (or ?annotate=witness) the answer is instead a projection of the
-// witness-annotated commuting matrix — count, score, and one bounded
-// derivation prefix, read from the versioned cache when an annotated
-// request already materialized it (zero additional matrix products).
+// enumerates up to Limit concrete instances (default 10, at most
+// maxExplainLimit); with Annotate "witness" (or ?annotate=witness) the
+// answer is instead a projection of the witness-annotated commuting
+// matrix — count, score, and one bounded derivation prefix, read from
+// the versioned cache when an annotated request already materialized
+// it (zero additional matrix products).
 type ExplainRequest struct {
 	Pattern  string `json:"pattern"`
 	From     string `json:"from"`
@@ -619,7 +621,12 @@ type ExplainResponse struct {
 	Instances []string     `json:"instances,omitempty"`
 }
 
-const defaultExplainLimit = 10
+const (
+	defaultExplainLimit = 10
+	// maxExplainLimit caps a request's Limit: enumeration work and
+	// response size grow with it.
+	maxExplainLimit = 1000
+)
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
@@ -654,7 +661,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	limit := req.Limit
+	limit := min(req.Limit, maxExplainLimit)
 	if limit <= 0 {
 		limit = defaultExplainLimit
 	}

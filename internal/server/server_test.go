@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"relsim/internal/graph"
 	"relsim/internal/store"
@@ -186,6 +188,64 @@ func TestExplain(t *testing.T) {
 		if !bytes.Contains([]byte(in), []byte("p1")) || !bytes.Contains([]byte(in), []byte("p2")) {
 			t.Errorf("instance %q does not mention both endpoints by name", in)
 		}
+	}
+}
+
+// TestExplainLimitClamped: a huge legacy /explain limit is clamped to
+// maxExplainLimit, while the count still reports every instance.
+func TestExplainLimitClamped(t *testing.T) {
+	g := graph.New()
+	src, hub := g.AddNode("src", ""), g.AddNode("hub", "")
+	g.AddEdge(src, "a", hub)
+	for i := 0; i < 40; i++ {
+		g.AddEdge(hub, "b", g.AddNode(fmt.Sprintf("leaf%d", i), ""))
+	}
+	ts := httptest.NewServer(New(store.New(g), nil))
+	t.Cleanup(ts.Close)
+	var resp ExplainResponse
+	code := post(t, ts, "/explain", ExplainRequest{Pattern: "a.b.b-.b.b-", From: "src", To: "hub", Limit: 1 << 30}, &resp)
+	if code != http.StatusOK {
+		t.Fatalf("status = %d", code)
+	}
+	if resp.Count != 1600 || len(resp.Instances) != maxExplainLimit {
+		t.Fatalf("count %d, %d instances; want 1600 and %d", resp.Count, len(resp.Instances), maxExplainLimit)
+	}
+}
+
+// TestBatchWorkersClampedToConfig: a client may lower the /batch pool
+// but never raise it past Config.Workers.
+func TestBatchWorkersClampedToConfig(t *testing.T) {
+	const poolSize = 2
+	srv := New(store.New(testGraph()), nil, func(c *Config) { c.Workers = poolSize })
+	var active, peak atomic.Int32
+	srv.testHookEval = func(*SearchRequest) {
+		n := active.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		time.Sleep(2 * time.Millisecond)
+		active.Add(-1)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	queries := make([]SearchRequest, 16)
+	for i := range queries {
+		queries[i] = SearchRequest{Pattern: "by.by-", Query: "p1"}
+	}
+	var resp BatchResponse
+	if code := post(t, ts, "/batch", BatchRequest{Queries: queries, Workers: 1 << 30}, &resp); code != http.StatusOK {
+		t.Fatalf("status = %d", code)
+	}
+	for i, r := range resp.Results {
+		if r.Error != "" {
+			t.Fatalf("query %d: %s", i, r.Error)
+		}
+	}
+	if p := peak.Load(); p > poolSize {
+		t.Fatalf("%d queries scored at once, Config.Workers is %d", p, poolSize)
 	}
 }
 

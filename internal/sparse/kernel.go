@@ -583,16 +583,17 @@ func SameSupport[T, U any](m *GMatrix[T], o *GMatrix[U]) bool {
 }
 
 // GBooleanClosure returns the reflexive-transitive boolean closure of m
-// by repeated squaring. Convergence is detected on the support (the set
-// of truthy positions), not on values: boolean-collapsed integer
-// matrices carry only ones, so for IntRing this is exactly the old
-// value-equality test, while annotation rings — whose derivation depths
-// keep growing with every squaring — still terminate the moment
-// reachability stabilizes.
-func GBooleanClosure[T any, R Ring[T]](ring R, m *GMatrix[T], t Thresholds) *GMatrix[T] {
+// by repeated squaring, each square computed by mul. Convergence is
+// detected on the support (the set of truthy positions), not on values:
+// boolean-collapsed integer matrices carry only ones, so for IntRing
+// this is value equality, while annotation rings — whose derivation
+// depths keep growing with every squaring — still terminate the moment
+// reachability stabilizes. Callers pass their own product so squarings
+// share their gate, cancellation and product accounting.
+func GBooleanClosure[T any, R Ring[T]](ring R, m *GMatrix[T], mul func(a, b *GMatrix[T]) *GMatrix[T]) *GMatrix[T] {
 	cur := GBoolean(ring, GAdd(ring, GIdentity[T](ring, m.n), GBoolean(ring, m)))
 	for {
-		next := GBoolean(ring, GMulThresh(ring, cur, cur, t))
+		next := GBoolean(ring, mul(cur, cur))
 		if SameSupport(next, cur) {
 			return cur
 		}

@@ -223,7 +223,9 @@ func (m *Matrix) Sum() int64 {
 // where m is interpreted as a boolean relation. This implements the set
 // semantics of Kleene star instances I(p*) collapsed to reachability.
 func (m *Matrix) BooleanClosure() *Matrix {
-	return wrapInt(GBooleanClosure(IntRing{}, m.gm(), DefaultThresholds()))
+	return wrapInt(GBooleanClosure(IntRing{}, m.gm(), func(a, b *GMatrix[int64]) *GMatrix[int64] {
+		return GMulThresh(IntRing{}, a, b, DefaultThresholds())
+	}))
 }
 
 // String renders small matrices densely for debugging; large matrices
